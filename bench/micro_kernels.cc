@@ -26,10 +26,11 @@
 
 #include "common/random.hh"
 #include "common/table.hh"
+#include "driver/dataset.hh"
 #include "driver/driver.hh"
-#include "driver/golden_cache.hh"
 #include "graph/generator.hh"
 #include "graph/preprocess.hh"
+#include "graphr/engine/golden_cache.hh"
 #include "graphr/engine/plan_cache.hh"
 #include "graphr/node.hh"
 #include "graphr/tile_meta.hh"
@@ -385,7 +386,8 @@ serveRequest(const perf::RepOptions &rep, bool warm)
             // Cache drops are part of the scenario, not overhead
             // worth excluding: the sort they force dominates anyway.
             PlanCache::instance().clear();
-            driver::clearGoldenCache();
+            clearGoldenCache();
+            driver::clearDatasetCache();
         }
         std::istringstream in(request);
         std::ostringstream out;

@@ -4,7 +4,7 @@
  * print the simulated time/energy report.
  *
  * Demonstrates the driver surface every tool in this repo shares:
- *   spec strings -> runOne()/runSweep() -> RunResult (text or JSON).
+ *   spec strings -> runSweep() -> RunResult (text or JSON).
  * The same combination is expressible from the CLI as
  *   graphr_run --algo pagerank --backend graphr \
  *              --dataset rmat:vertices=256,edges=2048,seed=7
@@ -22,10 +22,11 @@ main()
 
     // 1. Name the combination: any registered workload and backend,
     //    any dataset spec (Table-3 name, generator spec, or file).
-    RunSpec spec;
-    spec.workload = "pagerank";
-    spec.backend = "graphr";
-    spec.dataset = "rmat:vertices=256,edges=2048,seed=7";
+    //    A single run is the one-combination sweep.
+    SweepSpec spec;
+    spec.workloads = {"pagerank"};
+    spec.backends = {"graphr"};
+    spec.datasets = {"rmat:vertices=256,edges=2048,seed=7"};
     spec.params = ParamMap::parse("damping=0.8,iterations=20");
 
     // 2. Use the bit-exact analog datapath with a small GE array (the
@@ -37,7 +38,7 @@ main()
     spec.backendOptions.config.functional = true;
 
     // 3. Run it.
-    const RunResult result = runOne(spec);
+    const RunResult result = runSweep(spec).at(0);
     printResultsTable(std::cout, {result});
 
     std::cout << "\nbreakdown:\n";
@@ -46,12 +47,10 @@ main()
 
     // 4. The same driver sweeps cross products: compare this graph
     //    across the GraphR node and the CPU/GPU/PIM baselines.
-    SweepSpec sweep;
-    sweep.workloads = {"pagerank"};
+    //    Same spec and node configuration, so the graphr column
+    //    matches part 3.
+    SweepSpec sweep = spec;
     sweep.backends = {"graphr", "cpu", "gpu", "pim"};
-    sweep.datasets = {spec.dataset};
-    // Same node configuration, so the graphr column matches part 3.
-    sweep.backendOptions = spec.backendOptions;
     const std::vector<RunResult> results = runSweep(sweep);
 
     std::cout << "\npagerank across backends:\n";

@@ -21,7 +21,7 @@ relax(const CooGraph &graph, VertexId source, bool unit_weights)
     result.dist[source] = 0.0;
     result.parent[source] = source;
 
-    CsrGraph out(graph, CsrGraph::Direction::kOut);
+    const CsrGraph &out = graph.outCsr();
 
     std::vector<Value> dist(nv, kInfDistance);
     dist[source] = 0.0;
@@ -74,7 +74,7 @@ bfs(const CooGraph &graph, VertexId source)
 
 RelaxationSweep::RelaxationSweep(const CooGraph &graph, VertexId source,
                                  bool unit_weights)
-    : graph_(graph), outAdj_(graph, CsrGraph::Direction::kOut),
+    : graph_(graph), outAdj_(graph.outCsr()),
       mode_(unit_weights ? WeightMode::kUnit : WeightMode::kOriginal)
 {
     GRAPHR_ASSERT(source < graph.numVertices(), "source out of range");
@@ -89,7 +89,7 @@ RelaxationSweep::RelaxationSweep(const CooGraph &graph,
                                  std::vector<Value> init_labels,
                                  std::vector<bool> init_active,
                                  WeightMode mode)
-    : graph_(graph), outAdj_(graph, CsrGraph::Direction::kOut),
+    : graph_(graph), outAdj_(graph.outCsr()),
       mode_(mode), dist_(std::move(init_labels)),
       active_(std::move(init_active))
 {

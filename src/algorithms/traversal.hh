@@ -53,7 +53,8 @@ enum class WeightMode
  * Round-by-round synchronous min-relaxation exposing the per-round
  * active set: used by the GraphR simulator to know which tiles a
  * round touches. Covers SSSP, BFS and WCC-style label propagation
- * (all the paper's parallel-add-op workloads).
+ * (all the paper's parallel-add-op workloads). The sweep references
+ * the graph and its memoised out-CSR, so the graph must outlive it.
  */
 class RelaxationSweep
 {
@@ -87,7 +88,7 @@ class RelaxationSweep
 
   private:
     const CooGraph &graph_;
-    CsrGraph outAdj_;
+    const CsrGraph &outAdj_; ///< the graph's memoised out-CSR
     WeightMode mode_;
     std::vector<Value> dist_;
     std::vector<bool> active_;

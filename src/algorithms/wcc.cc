@@ -8,19 +8,6 @@
 namespace graphr
 {
 
-CooGraph
-symmetrize(const CooGraph &graph)
-{
-    std::vector<Edge> edges;
-    edges.reserve(graph.numEdges() * 2);
-    for (const Edge &e : graph.edges()) {
-        edges.push_back(e);
-        if (e.src != e.dst)
-            edges.push_back(Edge{e.dst, e.src, e.weight});
-    }
-    return CooGraph(graph.numVertices(), std::move(edges));
-}
-
 namespace
 {
 
@@ -37,7 +24,7 @@ WccResult
 wcc(const CooGraph &graph)
 {
     GRAPHR_ASSERT(graph.numVertices() > 0, "empty graph");
-    const CooGraph sym = symmetrize(graph);
+    const CooGraph &sym = graph.symmetrized();
 
     WccResult result;
     result.labels.resize(graph.numVertices());

@@ -40,9 +40,6 @@ WccResult wcc(const CooGraph &graph);
  */
 WccResult wccUnionFind(const CooGraph &graph);
 
-/** Edges plus their reverses (weights preserved). */
-CooGraph symmetrize(const CooGraph &graph);
-
 /**
  * The WCC relaxation over an already-symmetrised graph: every vertex
  * starts active with its own id as label, weights enter as zero.

@@ -131,7 +131,7 @@ relaxationTrace(const CooGraph &graph, RelaxationSweep &sweep,
     report.platform = "cpu";
     report.algorithm = name;
 
-    CsrGraph out(graph, CsrGraph::Direction::kOut);
+    const CsrGraph &out = graph.outCsr();
     CacheHierarchy cache(params.cache);
 
     // GridGraph-style P x P grid: P chosen so a vertex chunk is
@@ -217,7 +217,7 @@ CpuModel::runSssp(const CooGraph &graph, VertexId source)
 BaselineReport
 CpuModel::runWcc(const CooGraph &graph)
 {
-    const CooGraph sym = symmetrize(graph);
+    const CooGraph &sym = graph.symmetrized();
     RelaxationSweep sweep = makeWccSweep(sym);
     return relaxationTrace(sym, sweep, "wcc", params_);
 }

@@ -88,7 +88,7 @@ gpuRelaxation(const CooGraph &graph, RelaxationSweep &sweep,
 
     // Replay the synchronous rounds to obtain per-round frontier and
     // edge volumes (Gunrock advance+filter).
-    CsrGraph out(graph, CsrGraph::Direction::kOut);
+    const CsrGraph &out = graph.outCsr();
     const double bw = params.memBandwidthGBs * 1e9 *
                       params.bandwidthEfficiency;
 
@@ -151,7 +151,7 @@ GpuModel::runSssp(const CooGraph &graph, VertexId source)
 BaselineReport
 GpuModel::runWcc(const CooGraph &graph)
 {
-    const CooGraph sym = symmetrize(graph);
+    const CooGraph &sym = graph.symmetrized();
     RelaxationSweep sweep = makeWccSweep(sym);
     return gpuRelaxation(sym, sweep, "wcc", params_);
 }

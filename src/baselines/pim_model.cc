@@ -78,7 +78,7 @@ pimRelaxation(const CooGraph &graph, RelaxationSweep &sweep,
     report.platform = "pim";
     report.algorithm = name;
 
-    CsrGraph out(graph, CsrGraph::Direction::kOut);
+    const CsrGraph &out = graph.outCsr();
     double seconds = 0.0;
     while (!sweep.done()) {
         const std::vector<bool> &active = sweep.active();
@@ -122,7 +122,7 @@ PimModel::runSssp(const CooGraph &graph, VertexId source)
 BaselineReport
 PimModel::runWcc(const CooGraph &graph)
 {
-    const CooGraph sym = symmetrize(graph);
+    const CooGraph &sym = graph.symmetrized();
     RelaxationSweep sweep = makeWccSweep(sym);
     return pimRelaxation(sym, sweep, "wcc", *this, params_);
 }

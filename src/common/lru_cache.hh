@@ -1,11 +1,17 @@
 /**
  * @file
- * Small thread-safe keyed LRU used by the engine's PlanCache and the
- * driver's golden-result cache.
+ * Small thread-safe keyed LRU used by the engine's PlanCache, the
+ * golden-result cache and the driver module's dataset cache.
  *
  * Values are shared_ptrs: eviction never invalidates a value a caller
- * still holds. Capacity is small by design — cached values (tile
- * plans, golden rank vectors) are memory-heavy for large graphs.
+ * still holds. Capacity is counted in the units of a Weigher: one
+ * unit per entry by default, bytes for the plan and dataset caches,
+ * whose values (tile plans, graphs) are memory-heavy for large
+ * graphs. Weights are taken when an eviction check runs (after each
+ * build and on setCapacity), not frozen at insertion, so a value
+ * whose lazily derived state grows is charged for it at the next
+ * check. An entry heavier than the whole capacity is handed to its
+ * requesters but not retained.
  *
  * Built for the parallel sweep driver: lookups take a shared lock and
  * builds happen *outside* the cache lock with per-key
@@ -19,6 +25,7 @@
 #ifndef GRAPHR_COMMON_LRU_CACHE_HH
 #define GRAPHR_COMMON_LRU_CACHE_HH
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -41,8 +48,20 @@ struct LruCacheStats
     std::uint64_t misses = 0;
 };
 
+/** The default weigher: every entry costs one unit of capacity. */
+struct UnitWeight
+{
+    template <typename Value>
+    std::size_t
+    operator()(const Value &) const
+    {
+        return 1;
+    }
+};
+
 /** LRU map Key -> shared_ptr<const Value> with build-on-miss. */
-template <typename Key, typename Value, typename Hash>
+template <typename Key, typename Value, typename Hash,
+          typename Weigher = UnitWeight>
 class LruCache
 {
   public:
@@ -83,7 +102,6 @@ class LruCache
                 lru_.emplace_front(key, slot);
                 index_.emplace(key, lru_.begin());
                 misses_.fetch_add(1, std::memory_order_relaxed);
-                evictOverflow();
                 builder = true;
             }
         }
@@ -99,6 +117,13 @@ class LruCache
                 publish(slot, nullptr, std::current_exception());
                 dropIfStillMapped(key, slot);
                 throw;
+            }
+            {
+                std::unique_lock<std::shared_mutex> lock(mutex_);
+                if (weigher_(*value) > capacity_)
+                    dropIfStillMappedLocked(key, slot);
+                else
+                    evictOverflow();
             }
             if (cache_hit != nullptr)
                 *cache_hit = false;
@@ -136,6 +161,14 @@ class LruCache
     {
         std::shared_lock<std::shared_mutex> lock(mutex_);
         return lru_.size();
+    }
+
+    /** Current total weight of the built entries. */
+    std::size_t
+    weight() const
+    {
+        std::shared_lock<std::shared_mutex> lock(mutex_);
+        return totalWeight();
     }
 
     /** Change capacity (>= 1), evicting LRU entries if shrinking. */
@@ -189,6 +222,12 @@ class LruCache
     dropIfStillMapped(const Key &key, const SlotPtr &slot)
     {
         std::unique_lock<std::shared_mutex> lock(mutex_);
+        dropIfStillMappedLocked(key, slot);
+    }
+
+    void
+    dropIfStillMappedLocked(const Key &key, const SlotPtr &slot)
+    {
         const auto it = index_.find(key);
         if (it != index_.end() && it->second->second == slot) {
             lru_.erase(it->second);
@@ -216,17 +255,47 @@ class LruCache
             lru_.splice(lru_.begin(), lru_, it->second);
     }
 
+    /** Weight of a built entry; 0 while its build is in flight. */
+    std::size_t
+    slotWeight(Slot &slot) const
+    {
+        std::lock_guard<std::mutex> slot_lock(slot.mutex);
+        return slot.value != nullptr ? weigher_(*slot.value) : 0;
+    }
+
+    std::size_t
+    totalWeight() const ///< caller holds mutex_
+    {
+        std::size_t total = 0;
+        for (const auto &entry : lru_)
+            total += slotWeight(*entry.second);
+        return total;
+    }
+
+    /**
+     * Drop least recently used built entries until the total weight
+     * fits the capacity. In-flight builds weigh nothing and are never
+     * dropped, so their waiters cannot trigger a second build.
+     */
     void
     evictOverflow() ///< caller holds mutex_ exclusively
     {
-        while (lru_.size() > capacity_) {
-            index_.erase(lru_.back().first);
-            lru_.pop_back();
+        std::size_t total = totalWeight();
+        auto it = lru_.end();
+        while (total > capacity_ && it != lru_.begin()) {
+            --it;
+            const std::size_t w = slotWeight(*it->second);
+            if (w == 0)
+                continue;
+            total -= std::min(w, total); // a value may have grown since
+            index_.erase(it->first);
+            it = lru_.erase(it);
         }
     }
 
     mutable std::shared_mutex mutex_;
     std::size_t capacity_;
+    Weigher weigher_;
     LruList lru_; ///< front = most recently used
     std::unordered_map<Key, typename LruList::iterator, Hash> index_;
     /** Lock-free counters: the hit path must not take mutex_. */

@@ -1,7 +1,7 @@
 #include "backend.hh"
 
 #include "algorithms/pagerank.hh"
-#include "driver/golden_cache.hh"
+#include "graphr/engine/golden_cache.hh"
 #include "graphr/node.hh"
 
 namespace graphr::driver

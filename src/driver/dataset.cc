@@ -1,11 +1,14 @@
 #include "dataset.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 
+#include "common/lru_cache.hh"
 #include "graph/datasets.hh"
 #include "graph/generator.hh"
 #include "graph/io.hh"
+#include "perf/counters.hh"
 
 namespace graphr::driver
 {
@@ -133,6 +136,15 @@ resolveGenerator(const std::string &kind, const ParamMap &params,
     return out;
 }
 
+/** "file:path", or a spec without ':' that contains a '/'. */
+bool
+isFileSpec(const std::string &spec)
+{
+    return spec.starts_with("file:") ||
+           (spec.find(':') == std::string::npos &&
+            spec.find('/') != std::string::npos);
+}
+
 ResolvedDataset
 loadFile(const std::string &path)
 {
@@ -147,20 +159,50 @@ loadFile(const std::string &path)
     return out;
 }
 
-} // namespace
-
-ResolvedDataset
-resolveDataset(const std::string &spec, double scale, std::uint64_t seed)
+struct CacheKey
 {
-    if (spec.empty())
-        throw DriverError("empty dataset spec");
-    if (!(scale >= 1.0)) // negated so NaN is rejected too
-        throw DriverError("dataset scale must be >= 1");
+    std::string spec;
+    double scale = 1.0;
+    std::uint64_t seed = 0;
 
-    // Explicit file prefix or a path-looking spec.
-    if (spec.starts_with("file:"))
-        return loadFile(spec.substr(5));
+    bool operator==(const CacheKey &other) const = default;
+};
 
+struct CacheKeyHash
+{
+    std::size_t
+    operator()(const CacheKey &key) const
+    {
+        std::uint64_t h = std::hash<std::string>{}(key.spec);
+        h ^= std::bit_cast<std::uint64_t>(key.scale) *
+             0x9e3779b97f4a7c15ull;
+        h ^= key.seed * 0xc2b2ae3d27d4eb4full;
+        return static_cast<std::size_t>(h ^ (h >> 32));
+    }
+};
+
+struct DatasetBytes
+{
+    std::size_t
+    operator()(const ResolvedDataset &dataset) const
+    {
+        return dataset.graph.footprintBytes();
+    }
+};
+
+LruCache<CacheKey, ResolvedDataset, CacheKeyHash, DatasetBytes> &
+datasetCache()
+{
+    static LruCache<CacheKey, ResolvedDataset, CacheKeyHash,
+                    DatasetBytes>
+        cache(kDatasetCacheBudgetBytes);
+    return cache;
+}
+
+/** A Table-3 name or a generator spec (no file). */
+ResolvedDataset
+resolveNamed(const std::string &spec, double scale, std::uint64_t seed)
+{
     const std::size_t colon = spec.find(':');
     const std::string kind =
         colon == std::string::npos ? spec : spec.substr(0, colon);
@@ -168,10 +210,6 @@ resolveDataset(const std::string &spec, double scale, std::uint64_t seed)
         colon == std::string::npos
             ? ParamMap{}
             : ParamMap::parse(spec.substr(colon + 1));
-
-    if (colon == std::string::npos &&
-        spec.find('/') != std::string::npos)
-        return loadFile(spec);
 
     if (const DatasetInfo *info = findTableEntry(kind)) {
         // Table names take spec-level scale/seed overrides:
@@ -191,6 +229,53 @@ resolveDataset(const std::string &spec, double scale, std::uint64_t seed)
     }
 
     return resolveGenerator(kind, params, seed);
+}
+
+} // namespace
+
+ResolvedDataset
+resolveDataset(const std::string &spec, double scale, std::uint64_t seed)
+{
+    if (spec.empty())
+        throw DriverError("empty dataset spec");
+    if (!(scale >= 1.0)) // negated so NaN is rejected too
+        throw DriverError("dataset scale must be >= 1");
+
+    ResolvedDataset out =
+        !isFileSpec(spec)          ? resolveNamed(spec, scale, seed)
+        : spec.starts_with("file:") ? loadFile(spec.substr(5))
+                                    : loadFile(spec);
+    static perf::Counter &generations =
+        perf::Registry::instance().counter("dataset.generations");
+    generations.add();
+    return out;
+}
+
+std::shared_ptr<const ResolvedDataset>
+cachedDataset(const std::string &spec, double scale, std::uint64_t seed)
+{
+    if (isFileSpec(spec))
+        return std::make_shared<const ResolvedDataset>(
+            resolveDataset(spec, scale, seed));
+    return datasetCache().getOrBuild(CacheKey{spec, scale, seed}, [&] {
+        return std::make_shared<const ResolvedDataset>(
+            resolveDataset(spec, scale, seed));
+    });
+}
+
+DatasetCacheStats
+datasetCacheStats()
+{
+    const LruCacheStats stats = datasetCache().stats();
+    return DatasetCacheStats{datasetCache().size(),
+                             datasetCache().weight(), stats.hits,
+                             stats.misses};
+}
+
+void
+clearDatasetCache()
+{
+    datasetCache().clear();
 }
 
 std::vector<std::string>

@@ -15,12 +15,21 @@
  *    edge list (graph/io).
  *
  * Unknown names throw DriverError listing what is known.
+ *
+ * resolveDataset() generates (or loads) the graph on every call.
+ * cachedDataset() is what runSweep() resolves through: a process-wide,
+ * byte-budgeted LRU of resolved datasets, so a long-lived process
+ * (graphr_serve) generates each graph once and every later request
+ * reuses it together with the derived state its graph memoises
+ * (fingerprint, out-CSR, symmetrised twin; CooGraph).
  */
 
 #ifndef GRAPHR_DRIVER_DATASET_HH
 #define GRAPHR_DRIVER_DATASET_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,6 +62,39 @@ struct ResolvedDataset
 ResolvedDataset resolveDataset(const std::string &spec,
                                double scale = 1.0,
                                std::uint64_t seed = 42);
+
+/**
+ * resolveDataset() through the process-wide dataset cache, keyed by
+ * (spec, scale, seed): the same spec under a different scale or seed
+ * is a distinct entry. Concurrent requests for one key generate it
+ * once. File datasets are read afresh on every call and never cached,
+ * so a rewritten file is never served stale.
+ */
+std::shared_ptr<const ResolvedDataset>
+cachedDataset(const std::string &spec, double scale = 1.0,
+              std::uint64_t seed = 42);
+
+/** Occupancy and hit/miss counters of the dataset cache. */
+struct DatasetCacheStats
+{
+    std::size_t size = 0;
+    /** Graphs plus their memoised derived state. */
+    std::size_t bytes = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+};
+
+DatasetCacheStats datasetCacheStats();
+
+/** Drop all entries and reset the statistics. */
+void clearDatasetCache();
+
+/**
+ * Byte budget of the dataset cache: the two hot 1M-edge graphs of a
+ * serving mix with their CSRs plus a few more. A dataset larger than
+ * the whole budget is served but not retained.
+ */
+inline constexpr std::size_t kDatasetCacheBudgetBytes = 128u << 20;
 
 /** Table-3 dataset names ("wiki-vote", ...) the resolver accepts. */
 std::vector<std::string> knownDatasetNames();

@@ -1,6 +1,7 @@
 #include "driver.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -66,105 +67,21 @@ announceRun(std::ostream *progress, std::mutex &progress_mutex,
 }
 
 /**
- * Per-sweep dataset memo: each distinct dataset spec is resolved by
- * exactly one worker (std::call_once); everyone else blocks on that
- * slot instead of re-generating the graph. A resolution error is
- * captured and rethrown to every requester.
+ * One dataset of a sweep: resolved through the process-wide dataset
+ * cache by exactly one run (std::call_once) and held until its last
+ * run finishes, so a dataset over the cache's byte budget is still
+ * generated once per sweep, and a serial sweep holds one dataset at
+ * a time. A resolution error is captured and rethrown to every run
+ * on that dataset.
  */
 struct DatasetSlot
 {
     std::once_flag once;
     std::shared_ptr<const ResolvedDataset> value;
     std::exception_ptr error;
+    /** Runs on this dataset not yet finished. */
+    std::atomic<std::size_t> pending{0};
 };
-
-/** The sweep cross product, dataset-major (the serial loop order). */
-struct Combo
-{
-    std::size_t dataset = 0;
-    std::size_t workload = 0;
-    std::size_t backend = 0;
-};
-
-std::vector<RunResult>
-runSweepParallel(const SweepSpec &spec,
-                 const std::vector<std::string> &workload_names,
-                 const std::vector<Workload> &workloads,
-                 const std::vector<std::string> &backend_names,
-                 unsigned jobs, std::ostream *progress)
-{
-    std::vector<Combo> combos;
-    combos.reserve(spec.datasets.size() * workloads.size() *
-                   backend_names.size());
-    for (std::size_t d = 0; d < spec.datasets.size(); ++d)
-        for (std::size_t w = 0; w < workloads.size(); ++w)
-            for (std::size_t b = 0; b < backend_names.size(); ++b)
-                combos.push_back(Combo{d, w, b});
-
-    std::vector<DatasetSlot> slots(spec.datasets.size());
-    const auto ensureDataset =
-        [&spec, &slots](std::size_t d)
-        -> std::shared_ptr<const ResolvedDataset> {
-        DatasetSlot &slot = slots[d];
-        std::call_once(slot.once, [&spec, &slot, d] {
-            try {
-                slot.value = std::make_shared<const ResolvedDataset>(
-                    resolveDataset(spec.datasets[d], spec.scale,
-                                   spec.seed));
-            } catch (...) {
-                slot.error = std::current_exception();
-            }
-        });
-        if (slot.error)
-            std::rethrow_exception(slot.error);
-        return slot.value;
-    };
-
-    // Each worker writes only its own pre-assigned result slot, so
-    // the merged vector comes out in spec order regardless of which
-    // worker finishes first — the JSON/table output is byte-identical
-    // to the serial path.
-    std::vector<RunResult> results(combos.size());
-    std::vector<std::exception_ptr> errors(combos.size());
-    std::mutex progress_mutex;
-    {
-        ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(jobs, combos.size())));
-        for (std::size_t i = 0; i < combos.size(); ++i) {
-            pool.submit([&, i] {
-                const Combo &combo = combos[i];
-                try {
-                    const std::shared_ptr<const ResolvedDataset>
-                        dataset = ensureDataset(combo.dataset);
-                    announceRun(progress, progress_mutex,
-                                workload_names[combo.workload],
-                                backend_names[combo.backend],
-                                dataset->name);
-                    // A fresh backend per run: instances are cheap
-                    // (configuration only) and private state keeps
-                    // runs schedule-independent.
-                    const std::unique_ptr<Backend> backend =
-                        makeBackend(backend_names[combo.backend],
-                                    spec.backendOptions);
-                    results[i] =
-                        backend->run(workloads[combo.workload],
-                                     *dataset);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            });
-        }
-        pool.wait();
-    }
-
-    // Deterministic error surface: the first failure in spec order
-    // wins, matching what a serial sweep would have thrown.
-    for (const std::exception_ptr &error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
-    return results;
-}
 
 } // namespace
 
@@ -210,18 +127,6 @@ installPlanStore(const StoreSpec &spec)
     }
 }
 
-RunResult
-runOne(const RunSpec &spec)
-{
-    installPlanStore(spec.store);
-    const Workload workload = makeWorkload(spec.workload, spec.params);
-    const ResolvedDataset dataset =
-        resolveDataset(spec.dataset, spec.scale, spec.seed);
-    const std::unique_ptr<Backend> backend =
-        makeBackend(spec.backend, spec.backendOptions);
-    return backend->run(workload, dataset);
-}
-
 std::vector<RunResult>
 runSweep(const SweepSpec &spec, std::ostream *progress)
 {
@@ -229,38 +134,84 @@ runSweep(const SweepSpec &spec, std::ostream *progress)
         throw DriverError("sweep needs at least one dataset");
     installPlanStore(spec.store);
 
+    // Validate every name and parse parameters before the first
+    // (possibly expensive) run.
     const std::vector<std::string> workload_names =
         expandWorkloadNames(spec.workloads);
     const std::vector<std::string> backend_names =
         expandBackendNames(spec.backends);
-
-    // Validate every name and parse parameters before the first
-    // (possibly expensive) run.
     std::vector<Workload> workloads;
     for (const std::string &name : workload_names)
         workloads.push_back(makeWorkload(name, spec.params));
-    std::vector<std::unique_ptr<Backend>> backends;
     for (const std::string &name : backend_names)
-        backends.push_back(makeBackend(name, spec.backendOptions));
+        makeBackend(name, spec.backendOptions);
 
-    const unsigned jobs = ThreadPool::effectiveJobs(spec.jobs);
-    if (jobs > 1) {
-        return runSweepParallel(spec, workload_names, workloads,
-                                backend_names, jobs, progress);
+    // The cross product, dataset-major.
+    const std::size_t per_dataset =
+        workloads.size() * backend_names.size();
+    const std::size_t runs = spec.datasets.size() * per_dataset;
+    std::vector<DatasetSlot> slots(spec.datasets.size());
+    for (DatasetSlot &slot : slots)
+        slot.pending = per_dataset;
+    std::vector<RunResult> results(runs);
+    std::vector<std::exception_ptr> errors(runs);
+    std::mutex progress_mutex;
+
+    // Each run writes only its own pre-assigned result slot, so the
+    // merged vector comes out in spec order regardless of which
+    // worker finishes first: the JSON/table output is byte-identical
+    // at any job count.
+    const auto run = [&](std::size_t i) {
+        const std::size_t d = i / per_dataset;
+        const std::size_t w = i % per_dataset / backend_names.size();
+        const std::size_t b = i % backend_names.size();
+        DatasetSlot &slot = slots[d];
+        try {
+            std::call_once(slot.once, [&spec, &slot, d] {
+                try {
+                    slot.value = cachedDataset(spec.datasets[d],
+                                               spec.scale, spec.seed);
+                } catch (...) {
+                    slot.error = std::current_exception();
+                }
+            });
+            if (slot.error)
+                std::rethrow_exception(slot.error);
+            announceRun(progress, progress_mutex, workload_names[w],
+                        backend_names[b], slot.value->name);
+            // A fresh backend per run: instances are cheap
+            // (configuration only) and private state keeps runs
+            // schedule-independent.
+            results[i] =
+                makeBackend(backend_names[b], spec.backendOptions)
+                    ->run(workloads[w], *slot.value);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+        if (--slot.pending == 0)
+            slot.value.reset();
+    };
+
+    // One job runs inline on the calling thread, which keeps a
+    // thread-scoped PlanCache store override (graphr_serve tenants)
+    // in effect for the runs.
+    const unsigned jobs = static_cast<unsigned>(std::min<std::size_t>(
+        ThreadPool::effectiveJobs(spec.jobs), runs));
+    if (jobs <= 1) {
+        for (std::size_t i = 0; i < runs; ++i)
+            run(i);
+    } else {
+        ThreadPool pool(jobs);
+        for (std::size_t i = 0; i < runs; ++i)
+            pool.submit([&run, i] { run(i); });
+        pool.wait();
     }
 
-    std::vector<RunResult> results;
-    std::mutex progress_mutex;
-    for (const std::string &dataset_spec : spec.datasets) {
-        const ResolvedDataset dataset =
-            resolveDataset(dataset_spec, spec.scale, spec.seed);
-        for (const Workload &workload : workloads) {
-            for (const std::unique_ptr<Backend> &backend : backends) {
-                announceRun(progress, progress_mutex, workload.name,
-                            backend->name(), dataset.name);
-                results.push_back(backend->run(workload, dataset));
-            }
-        }
+    // Deterministic error surface: the first failure in spec order
+    // wins, whatever the schedule.
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
     }
     return results;
 }

@@ -3,12 +3,14 @@
  * Top-level workload driver: one entry point for any
  * algorithm x backend x dataset combination.
  *
- * runOne() executes a single combination; runSweep() cross-products
- * name lists (the "all" wildcard expands to the full registry) and
- * collects the unified results, which serialise to JSON or the text
- * table/matrix formats (run_result.hh). The graphr_run CLI is a thin
- * shell over these two calls, and benches/examples can use them
- * instead of hand-wiring graph -> config -> backend -> report.
+ * runSweep() cross-products name lists (the "all" wildcard expands to
+ * the full registry) and collects the unified results, which
+ * serialise to JSON or the text table/matrix formats (run_result.hh);
+ * a single run is the one-combination sweep. The graphr_run CLI and
+ * graphr_serve are thin shells over this call, and benches/examples
+ * can use it instead of hand-wiring graph -> config -> backend ->
+ * report. Datasets resolve through the process-wide dataset cache
+ * (dataset.hh).
  */
 
 #ifndef GRAPHR_DRIVER_DRIVER_HH
@@ -24,44 +26,24 @@
 namespace graphr::driver
 {
 
-/** One fully named run. */
-struct RunSpec
-{
-    std::string workload = "pagerank";
-    std::string backend = "graphr";
-    std::string dataset = "rmat:vertices=1024,edges=8192";
-    /** Workload key=value parameters (workload.hh). */
-    ParamMap params;
-    /** Scale divisor for Table-3 datasets. */
-    double scale = 1.0;
-    /** Generator seed for table/generator datasets. */
-    std::uint64_t seed = 42;
-    BackendOptions backendOptions;
-    /** Durable plan store (--plan-dir); empty planDir = none. */
-    StoreSpec store;
-};
-
-/** Execute one combination. Throws DriverError on bad names/params. */
-RunResult runOne(const RunSpec &spec);
-
 /** A cross-product of runs. */
 struct SweepSpec
 {
     /** Registry names; "all" anywhere expands to the whole registry. */
     std::vector<std::string> workloads = {"all"};
     std::vector<std::string> backends = {"all"};
-    /** Dataset specs (dataset.hh); resolved once each. */
+    /** Dataset specs (dataset.hh); resolved once each per sweep. */
     std::vector<std::string> datasets;
     ParamMap params;
     double scale = 1.0;
     std::uint64_t seed = 42;
     BackendOptions backendOptions;
     /**
-     * Worker threads executing the cross product (1 = serial,
-     * 0 = hardware concurrency). Results are merged back in spec
-     * order, so the output is byte-identical at any job count; every
-     * run seeds its own RNGs, so results are independent of the
-     * execution schedule.
+     * Worker threads executing the cross product (1 = serial on the
+     * calling thread, 0 = hardware concurrency). Results are merged
+     * back in spec order, so the output is byte-identical at any job
+     * count; every run seeds its own RNGs, so results are independent
+     * of the execution schedule.
      */
     std::uint32_t jobs = 1;
     /**
@@ -74,9 +56,11 @@ struct SweepSpec
 };
 
 /**
- * Run the full cross product, dataset-major. When `progress` is
- * non-null a one-line status is streamed per run (written atomically,
- * so parallel runs never interleave mid-line).
+ * Run the full cross product, dataset-major. Every run executes even
+ * when an earlier one fails; the first failure in spec order is then
+ * rethrown (DriverError on bad names/params, before any run). When
+ * `progress` is non-null a one-line status is streamed per run
+ * (written atomically, so parallel runs never interleave mid-line).
  */
 std::vector<RunResult> runSweep(const SweepSpec &spec,
                                 std::ostream *progress = nullptr);
@@ -89,7 +73,7 @@ expandBackendNames(const std::vector<std::string> &names);
 
 /**
  * Attach the described store to the process-wide PlanCache (detach
- * when planDir is empty). Called by runOne/runSweep/runPrepare; maps
+ * when planDir is empty). Called by runSweep/runPrepare; maps
  * an unusable directory onto DriverError with an actionable message.
  */
 void installPlanStore(const StoreSpec &spec);

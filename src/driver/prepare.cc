@@ -7,7 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "algorithms/wcc.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "driver/dataset.hh"
@@ -95,17 +94,18 @@ runPrepare(const PrepareSpec &spec, std::ostream *progress)
         for (std::size_t d = 0; d < spec.datasets.size(); ++d) {
             pool.submit([&, d] {
                 try {
-                    const ResolvedDataset dataset = resolveDataset(
-                        spec.datasets[d], spec.scale, spec.seed);
+                    const std::shared_ptr<const ResolvedDataset>
+                        dataset = cachedDataset(spec.datasets[d],
+                                                spec.scale, spec.seed);
                     announcePrepare(progress, progress_mutex,
-                                    dataset.name);
+                                    dataset->name);
                     results[d * variants] = prepareVariant(
-                        *store, dataset.name, "plain", dataset.graph,
+                        *store, dataset->name, "plain", dataset->graph,
                         spec.tiling);
                     if (spec.symmetrized) {
                         results[d * variants + 1] = prepareVariant(
-                            *store, dataset.name, "symmetrized",
-                            symmetrize(dataset.graph), spec.tiling);
+                            *store, dataset->name, "symmetrized",
+                            dataset->graph.symmetrized(), spec.tiling);
                     }
                 } catch (...) {
                     errors[d] = std::current_exception();

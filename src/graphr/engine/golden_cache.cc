@@ -3,10 +3,9 @@
 #include <bit>
 
 #include "common/lru_cache.hh"
-#include "graphr/engine/tile_plan.hh"
 #include "perf/counters.hh"
 
-namespace graphr::driver
+namespace graphr
 {
 
 namespace
@@ -82,4 +81,4 @@ clearGoldenCache()
     goldenCache().clear();
 }
 
-} // namespace graphr::driver
+} // namespace graphr

@@ -32,8 +32,8 @@ class PlanCache
   public:
     using Stats = LruCacheStats;
 
-    explicit PlanCache(std::size_t capacity = kDefaultCapacity)
-        : cache_(capacity)
+    explicit PlanCache(std::size_t budget_bytes = kDefaultBudgetBytes)
+        : cache_(budget_bytes)
     {
     }
 
@@ -115,20 +115,27 @@ class PlanCache
     /** Cached plan count. */
     std::size_t size() const { return cache_.size(); }
 
-    /** Change capacity (>= 1), evicting LRU entries if shrinking. */
-    void setCapacity(std::size_t capacity)
+    /** Bytes held by the cached plans (TilePlan::footprintBytes). */
+    std::size_t bytes() const { return cache_.weight(); }
+
+    /**
+     * Change the byte budget, evicting LRU plans if shrinking. A plan
+     * larger than the whole budget is served but not retained.
+     */
+    void setBudgetBytes(std::size_t budget_bytes)
     {
-        cache_.setCapacity(capacity);
+        cache_.setCapacity(budget_bytes);
     }
 
     Stats stats() const { return cache_.stats(); }
 
     /**
-     * Default entry count: enough for a full `--backend all` sweep on
-     * one dataset (graph + symmetrised graph + the multinode stripes
-     * and their symmetrised variants) without thrashing.
+     * Default budget: about a dozen plans of a 1M-edge graph, which
+     * holds a full `--backend all` sweep on one such dataset (graph,
+     * symmetrised graph, the multinode stripes and their symmetrised
+     * variants) without re-preparing any of them.
      */
-    static constexpr std::size_t kDefaultCapacity = 32;
+    static constexpr std::size_t kDefaultBudgetBytes = 256u << 20;
 
   private:
     struct Key
@@ -151,7 +158,16 @@ class PlanCache
         std::size_t operator()(const Key &key) const;
     };
 
-    LruCache<Key, TilePlan, KeyHash> cache_;
+    struct PlanBytes
+    {
+        std::size_t
+        operator()(const TilePlan &plan) const
+        {
+            return plan.footprintBytes();
+        }
+    };
+
+    LruCache<Key, TilePlan, KeyHash, PlanBytes> cache_;
 
     /** Optional durable second level (store/plan_store.hh). */
     mutable std::mutex storeMutex_;

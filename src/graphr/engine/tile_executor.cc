@@ -250,6 +250,8 @@ TileExecutor::addOpRun(const CooGraph &graph, const AddOpSpec &spec,
                           spec.mode);
     while (!sweep.done()) {
         const std::vector<bool> &active = sweep.active();
+        if (spec.onRound)
+            spec.onRound(active);
         for (const TileMeta &meta : plan_->meta.tiles()) {
             const std::uint64_t mask =
                 meta.rowMask & activeMask(active, meta.row0, dim);

@@ -60,12 +60,18 @@ struct MacSpec
     bool applyVariation = true;
 };
 
+/** Observer of one add-op timing round's active vertex set. */
+using RoundObserver = std::function<void(const std::vector<bool> &)>;
+
 /** Initial state of an add-op (min-relaxation) execution. */
 struct AddOpSpec
 {
     std::vector<Value> initLabels;
     std::vector<bool> initActive;
     WeightMode mode = WeightMode::kOriginal;
+    /** Optional: called with the active set at the start of every
+     *  timing round, in round order. */
+    RoundObserver onRound;
 };
 
 /** Counters one executor keeps about its run (tests and benches). */

@@ -1,9 +1,7 @@
 #include "tile_plan.hh"
 
-#include <bit>
 #include <utility>
 
-#include "common/checksum.hh"
 #include "common/logging.hh"
 
 namespace graphr
@@ -39,19 +37,15 @@ TilePlan::TilePlan(VertexId num_vertices, const TilingParams &tiling,
 {
 }
 
-std::uint64_t
-graphFingerprint(const CooGraph &graph)
+std::size_t
+TilePlan::footprintBytes() const
 {
-    Fnv1a64 h;
-    h.updateWord(graph.numVertices());
-    h.updateWord(graph.numEdges());
-    for (const Edge &e : graph.edges()) {
-        h.updateWord((static_cast<std::uint64_t>(e.src) << 32) |
-                     static_cast<std::uint64_t>(e.dst));
-        h.updateWord(std::bit_cast<std::uint64_t>(
-            static_cast<double>(e.weight)));
-    }
-    return h.digest();
+    std::size_t bytes = ordered.edges().size() * sizeof(Edge) +
+                        ordered.tiles().size() * sizeof(TileSpan);
+    for (const TileMeta &tile : meta.tiles())
+        bytes += sizeof(TileMeta) +
+                 tile.rowNnz.size() * sizeof(std::uint32_t);
+    return bytes;
 }
 
 } // namespace graphr

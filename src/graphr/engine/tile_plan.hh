@@ -65,18 +65,13 @@ struct TilePlan
      */
     TilePlan(VertexId num_vertices, const TilingParams &tiling,
              TileChunkSource &chunks, std::uint64_t graph_fingerprint);
+
+    /** Bytes held by the ordered edges, tile spans and metadata. */
+    std::size_t footprintBytes() const;
 };
 
 /** Plans are shared (cache + concurrent runners): ref-counted const. */
 using TilePlanPtr = std::shared_ptr<const TilePlan>;
-
-/**
- * Order-sensitive 64-bit FNV-1a fingerprint of a graph (vertex count,
- * edge count, every edge's endpoints and weight bits). O(E), which is
- * the price of a cache lookup — cheap next to the O(E log E) sort it
- * avoids on a hit.
- */
-std::uint64_t graphFingerprint(const CooGraph &graph);
 
 } // namespace graphr
 

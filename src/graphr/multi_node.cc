@@ -5,6 +5,7 @@
 #include "algorithms/traversal.hh"
 #include "algorithms/wcc.hh"
 #include "common/logging.hh"
+#include "graphr/engine/golden_cache.hh"
 
 namespace graphr
 {
@@ -106,9 +107,10 @@ MultiNodeGraphR::runPageRank(const CooGraph &graph,
 {
     // Iteration count from the golden run (identical convergence on
     // every partitioning).
-    const PageRankResult golden = pagerank(graph, params);
+    const std::shared_ptr<const PageRankResult> golden =
+        cachedGoldenPageRank(graph, params);
     return runSweeps(graph,
-                     static_cast<std::uint64_t>(golden.iterations),
+                     static_cast<std::uint64_t>(golden->iterations),
                      spmvSweep, /*props_per_vertex=*/1.0);
 }
 
@@ -142,7 +144,7 @@ MultiNodeGraphR::runWcc(const CooGraph &graph)
 {
     // Labels propagate over the symmetrised edge set; each node owns
     // the symmetrised edges of its destination stripe.
-    const CooGraph sym = symmetrize(graph);
+    const CooGraph &sym = graph.symmetrized();
     const WccResult golden = wcc(graph);
     return runSweeps(sym, static_cast<std::uint64_t>(golden.iterations),
                      spmvSweep, /*props_per_vertex=*/1.0);

@@ -5,8 +5,8 @@
 
 #include "algorithms/spmv.hh"
 #include "algorithms/traversal.hh"
-#include "algorithms/wcc.hh"
 #include "common/logging.hh"
+#include "graphr/engine/golden_cache.hh"
 #include "graphr/engine/plan_cache.hh"
 
 namespace graphr
@@ -91,9 +91,11 @@ GraphRNode::runPageRank(const CooGraph &graph,
                 break;
         }
     } else {
-        const PageRankResult golden = pagerank(graph, params);
-        iterations = static_cast<std::uint64_t>(golden.iterations);
-        ranks = golden.ranks;
+        const std::shared_ptr<const PageRankResult> golden =
+            cachedGoldenPageRank(graph, params);
+        iterations = static_cast<std::uint64_t>(golden->iterations);
+        if (ranks_out != nullptr)
+            ranks = golden->ranks;
     }
 
     spec.sweeps = iterations;
@@ -137,7 +139,8 @@ GraphRNode::runSpmv(const CooGraph &graph, const std::vector<Value> &x,
 
 SimReport
 GraphRNode::runBfs(const CooGraph &graph, VertexId source,
-                   std::vector<Value> *dist_out)
+                   std::vector<Value> *dist_out,
+                   const RoundObserver &on_round)
 {
     GRAPHR_ASSERT(source < graph.numVertices(), "source out of range");
     TileExecutor exec = makeExecutor(graph);
@@ -147,6 +150,7 @@ GraphRNode::runBfs(const CooGraph &graph, VertexId source,
     spec.initLabels[source] = 0.0;
     spec.initActive[source] = true;
     spec.mode = WeightMode::kUnit;
+    spec.onRound = on_round;
     SimReport report = exec.addOpRun(graph, spec, "bfs", dist_out);
     lastStats_ = exec.stats();
     return report;
@@ -154,7 +158,8 @@ GraphRNode::runBfs(const CooGraph &graph, VertexId source,
 
 SimReport
 GraphRNode::runSssp(const CooGraph &graph, VertexId source,
-                    std::vector<Value> *dist_out)
+                    std::vector<Value> *dist_out,
+                    const RoundObserver &on_round)
 {
     GRAPHR_ASSERT(source < graph.numVertices(), "source out of range");
     TileExecutor exec = makeExecutor(graph);
@@ -164,6 +169,7 @@ GraphRNode::runSssp(const CooGraph &graph, VertexId source,
     spec.initLabels[source] = 0.0;
     spec.initActive[source] = true;
     spec.mode = WeightMode::kOriginal;
+    spec.onRound = on_round;
     SimReport report = exec.addOpRun(graph, spec, "sssp", dist_out);
     lastStats_ = exec.stats();
     return report;
@@ -171,10 +177,11 @@ GraphRNode::runSssp(const CooGraph &graph, VertexId source,
 
 SimReport
 GraphRNode::runWcc(const CooGraph &graph,
-                   std::vector<VertexId> *labels_out)
+                   std::vector<VertexId> *labels_out,
+                   const RoundObserver &on_round)
 {
     // Min-label propagation needs both edge directions.
-    const CooGraph sym = symmetrize(graph);
+    const CooGraph &sym = graph.symmetrized();
     TileExecutor exec = makeExecutor(sym);
 
     AddOpSpec spec;
@@ -183,6 +190,7 @@ GraphRNode::runWcc(const CooGraph &graph,
         spec.initLabels[v] = static_cast<Value>(v);
     spec.initActive.assign(sym.numVertices(), true);
     spec.mode = WeightMode::kZero;
+    spec.onRound = on_round;
 
     std::vector<Value> labels;
     SimReport report =

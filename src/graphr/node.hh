@@ -12,9 +12,10 @@
  *  - functional: edges are programmed into the modelled crossbars and
  *    results are computed through the analog datapath (bit-sliced
  *    fixed point). Exact but slow; used by tests and examples.
- *  - timing-only: semantics come from the golden algorithms; the node
- *    walks the tile stream and charges the cost model. Used by the
- *    benches on large graphs.
+ *  - timing-only: semantics come from the golden algorithms (PageRank
+ *    through the process-wide golden cache); the node walks the tile
+ *    stream and charges the cost model. Used by the benches on large
+ *    graphs.
  *
  * Both modes charge identical event counts per processed tile (a
  * property test asserts this).
@@ -62,13 +63,19 @@ class GraphRNode
     SimReport runSpmv(const CooGraph &graph, const std::vector<Value> &x,
                       std::vector<Value> *y_out = nullptr);
 
-    /** BFS levels from a source (parallel add-op; Table 2 row 3). */
+    /**
+     * BFS levels from a source (parallel add-op; Table 2 row 3).
+     * @param on_round optional: sees each timing round's active set
+     *        (AddOpSpec::onRound); the out-of-core schedule uses it
+     */
     SimReport runBfs(const CooGraph &graph, VertexId source,
-                     std::vector<Value> *dist_out = nullptr);
+                     std::vector<Value> *dist_out = nullptr,
+                     const RoundObserver &on_round = {});
 
     /** SSSP from a source (parallel add-op; paper Fig. 14/16c). */
     SimReport runSssp(const CooGraph &graph, VertexId source,
-                      std::vector<Value> *dist_out = nullptr);
+                      std::vector<Value> *dist_out = nullptr,
+                      const RoundObserver &on_round = {});
 
     /**
      * Weakly connected components by min-label propagation over the
@@ -76,7 +83,8 @@ class GraphRNode
      * natural third add-op vertex program alongside BFS/SSSP).
      */
     SimReport runWcc(const CooGraph &graph,
-                     std::vector<VertexId> *labels_out = nullptr);
+                     std::vector<VertexId> *labels_out = nullptr,
+                     const RoundObserver &on_round = {});
 
     /**
      * Collaborative filtering training (parallel MAC over the rating

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "algorithms/traversal.hh"
-#include "algorithms/wcc.hh"
 #include "common/logging.hh"
 #include "graphr/engine/plan_cache.hh"
 
@@ -90,13 +88,11 @@ OutOfCoreRunner::runCf(const CooGraph &ratings, const CfParams &params)
 }
 
 OutOfCoreReport
-OutOfCoreRunner::selectiveRounds(const CooGraph &graph,
-                                 SimReport node_report,
-                                 RelaxationSweep &sweep) const
+OutOfCoreRunner::selectiveRounds(
+    const CooGraph &graph,
+    const std::function<SimReport(const RoundObserver &)> &run_node) const
 {
     OutOfCoreReport report;
-    report.node = std::move(node_report);
-
     const TilePlanPtr plan =
         PlanCache::instance().get(graph, config_.tiling);
     const GridPartition &part = plan->partition;
@@ -110,25 +106,23 @@ OutOfCoreRunner::selectiveRounds(const CooGraph &graph,
     for (const TileMeta &meta : plan->meta.tiles())
         row_bytes[meta.row0 / block] += meta.nnz * config_.bytesPerEdge;
 
-    // Replay the rounds; a block-row is streamed when any of its
-    // sources is active.
-    while (!sweep.done()) {
-        const std::vector<bool> &active = sweep.active();
-        for (std::uint64_t row = 0; row < part.blocksPerDim(); ++row) {
-            const std::uint64_t lo = row * block;
-            const std::uint64_t hi = std::min<std::uint64_t>(
-                lo + block, graph.numVertices());
-            bool any = false;
-            for (std::uint64_t v = lo; v < hi && !any; ++v)
-                any = active[v];
-            if (!any)
+    // The node's own timing walk reports each round's active set; a
+    // block-row is streamed in a round when any of its sources is
+    // active.
+    report.node = run_node([&](const std::vector<bool> &active) {
+        std::vector<bool> streamed(part.blocksPerDim(), false);
+        for (std::uint64_t v = 0; v < active.size(); ++v) {
+            if (active[v])
+                streamed[v / block] = true;
+        }
+        for (std::uint64_t row = 0; row < streamed.size(); ++row) {
+            if (!streamed[row])
                 continue;
             report.bytesStreamed += row_bytes[row];
             report.diskSeconds += streamSeconds(
                 row_bytes[row], part.blocksPerDim());
         }
-        sweep.step();
-    }
+    });
 
     report.totalSeconds = std::max(report.node.seconds,
                                    report.diskSeconds);
@@ -142,29 +136,29 @@ OutOfCoreReport
 OutOfCoreRunner::runBfs(const CooGraph &graph, VertexId source)
 {
     GraphRNode node(config_);
-    SimReport sim = node.runBfs(graph, source);
-    RelaxationSweep sweep(graph, source, /*unit_weights=*/true);
-    return selectiveRounds(graph, std::move(sim), sweep);
+    return selectiveRounds(graph, [&](const RoundObserver &on_round) {
+        return node.runBfs(graph, source, nullptr, on_round);
+    });
 }
 
 OutOfCoreReport
 OutOfCoreRunner::runSssp(const CooGraph &graph, VertexId source)
 {
     GraphRNode node(config_);
-    SimReport sim = node.runSssp(graph, source);
-    RelaxationSweep sweep(graph, source, /*unit_weights=*/false);
-    return selectiveRounds(graph, std::move(sim), sweep);
+    return selectiveRounds(graph, [&](const RoundObserver &on_round) {
+        return node.runSssp(graph, source, nullptr, on_round);
+    });
 }
 
 OutOfCoreReport
 OutOfCoreRunner::runWcc(const CooGraph &graph)
 {
+    // The node walks the symmetrised twin; so does the disk schedule.
     GraphRNode node(config_);
-    SimReport sim = node.runWcc(graph);
-
-    const CooGraph sym = symmetrize(graph);
-    RelaxationSweep sweep = makeWccSweep(sym);
-    return selectiveRounds(sym, std::move(sim), sweep);
+    return selectiveRounds(
+        graph.symmetrized(), [&](const RoundObserver &on_round) {
+            return node.runWcc(graph, nullptr, on_round);
+        });
 }
 
 } // namespace graphr

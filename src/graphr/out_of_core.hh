@@ -19,6 +19,8 @@
 #ifndef GRAPHR_GRAPHR_OUT_OF_CORE_HH
 #define GRAPHR_GRAPHR_OUT_OF_CORE_HH
 
+#include <functional>
+
 #include "algorithms/pagerank.hh"
 #include "graphr/node.hh"
 
@@ -98,12 +100,15 @@ class OutOfCoreRunner
                                      SimReport node_report) const;
 
     /**
-     * Selective schedule: replay the relaxation rounds and stream a
-     * block-row only when one of its sources is active (BFS/SSSP/WCC).
+     * Selective schedule (BFS/SSSP/WCC): @p run_node runs the node
+     * with the given round observer; every round streams only the
+     * block-rows holding an active source. @p graph is the graph the
+     * node walks (the symmetrised twin for WCC).
      */
-    OutOfCoreReport selectiveRounds(const CooGraph &graph,
-                                    SimReport node_report,
-                                    RelaxationSweep &sweep) const;
+    OutOfCoreReport selectiveRounds(
+        const CooGraph &graph,
+        const std::function<SimReport(const RoundObserver &)> &run_node)
+        const;
 
     /** Disk time for one load of the given byte volume. */
     double streamSeconds(std::uint64_t bytes,

@@ -14,7 +14,7 @@
 #include "common/json.hh"
 #include "driver/dataset.hh"
 #include "driver/driver.hh"
-#include "driver/golden_cache.hh"
+#include "graphr/engine/golden_cache.hh"
 #include "graphr/engine/plan_cache.hh"
 #include "common/random.hh"
 #include "net/event_loop.hh"
@@ -173,7 +173,8 @@ void
 dropCaches()
 {
     PlanCache::instance().clear();
-    driver::clearGoldenCache();
+    clearGoldenCache();
+    driver::clearDatasetCache();
 }
 
 /**

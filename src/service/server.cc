@@ -6,7 +6,8 @@
 #include <sstream>
 
 #include "common/json.hh"
-#include "driver/golden_cache.hh"
+#include "driver/dataset.hh"
+#include "graphr/engine/golden_cache.hh"
 #include "graphr/engine/plan_cache.hh"
 #include "perf/counters.hh"
 #include "store/plan_store.hh"
@@ -636,16 +637,27 @@ Server::statusTextLocked(const std::string &id) const
         w.beginObject();
         w.field("size", static_cast<std::uint64_t>(
                             PlanCache::instance().size()));
+        w.field("bytes", static_cast<std::uint64_t>(
+                             PlanCache::instance().bytes()));
         w.field("hits", plan.hits);
         w.field("misses", plan.misses);
         w.endObject();
 
-        const driver::GoldenCacheStats golden =
-            driver::goldenCacheStats();
+        const GoldenCacheStats golden = goldenCacheStats();
         w.key("golden_cache");
         w.beginObject();
         w.field("hits", golden.hits);
         w.field("misses", golden.misses);
+        w.endObject();
+
+        const driver::DatasetCacheStats datasets =
+            driver::datasetCacheStats();
+        w.key("dataset_cache");
+        w.beginObject();
+        w.field("size", static_cast<std::uint64_t>(datasets.size));
+        w.field("bytes", static_cast<std::uint64_t>(datasets.bytes));
+        w.field("hits", datasets.hits);
+        w.field("misses", datasets.misses);
         w.endObject();
 
         w.key("store");

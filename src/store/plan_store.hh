@@ -89,7 +89,7 @@ class StoreError : public std::runtime_error
 
 /**
  * Driver-facing description of an artifact store. Plumbed through
- * RunSpec/SweepSpec and the graphr_run --plan-dir flag; an empty
+ * SweepSpec, PrepareSpec and the graphr_run --plan-dir flag; an empty
  * planDir means "no store".
  */
 struct StoreSpec

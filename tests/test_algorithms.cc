@@ -151,8 +151,10 @@ TEST(SsspTest, BfsIsUnitWeightSssp)
     CooGraph g = makeRmat({.numVertices = 200, .numEdges = 1500,
                            .seed = 4});
     // Force unit weights, then bfs == sssp.
-    for (Edge &e : g.mutableEdges())
-        e.weight = 1.0;
+    g.editEdges([](std::vector<Edge> &edges) {
+        for (Edge &e : edges)
+            e.weight = 1.0;
+    });
     const TraversalResult b = bfs(g, 5);
     const TraversalResult s = sssp(g, 5);
     for (VertexId v = 0; v < g.numVertices(); ++v) {

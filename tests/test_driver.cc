@@ -392,13 +392,30 @@ TEST(CliTest, UnknownSubcommandNamesTheKnownOnes)
 
 // ----------------------------------------------------------- end-to-end
 
+/** A one-combination sweep: the single-run form of a SweepSpec. */
+SweepSpec
+singleRun(const std::string &workload, const std::string &backend,
+          const std::string &dataset)
+{
+    SweepSpec spec;
+    spec.workloads = {workload};
+    spec.backends = {backend};
+    spec.datasets = {dataset};
+    return spec;
+}
+
+RunResult
+runSingle(const SweepSpec &spec)
+{
+    const std::vector<RunResult> results = runSweep(spec);
+    EXPECT_EQ(results.size(), 1u);
+    return results.at(0);
+}
+
 TEST(DriverRunTest, SingleRunProducesWork)
 {
-    RunSpec spec;
-    spec.workload = "pagerank";
-    spec.backend = "graphr";
-    spec.dataset = "rmat:vertices=128,edges=512,seed=3";
-    const RunResult result = runOne(spec);
+    const RunResult result = runSingle(
+        singleRun("pagerank", "graphr", "rmat:vertices=128,edges=512,seed=3"));
     EXPECT_EQ(result.workload, "pagerank");
     EXPECT_EQ(result.backend, "graphr");
     EXPECT_EQ(result.dataset, "rmat");
@@ -410,12 +427,9 @@ TEST(DriverRunTest, SingleRunProducesWork)
 
 TEST(DriverRunTest, SourceOutOfRangeThrows)
 {
-    RunSpec spec;
-    spec.workload = "bfs";
-    spec.backend = "graphr";
-    spec.dataset = "chain:n=8";
+    SweepSpec spec = singleRun("bfs", "graphr", "chain:n=8");
     spec.params = ParamMap::parse("source=99");
-    EXPECT_THROW(runOne(spec), DriverError);
+    EXPECT_THROW(runSweep(spec), DriverError);
 }
 
 TEST(DriverRunTest, FullMatrixExecutes)
@@ -451,16 +465,13 @@ TEST(DriverRunTest, OneNodeClusterMatchesSingleNode)
     // must collapse to the single-node schedule for every workload
     // whose sweep count matches GraphRNode's (spmv/cf).
     for (const std::string algo : {"spmv", "cf"}) {
-        RunSpec spec;
-        spec.workload = algo;
-        spec.dataset = "bipartite:users=64,items=32,ratings=512";
+        SweepSpec spec = singleRun(
+            algo, "graphr", "bipartite:users=64,items=32,ratings=512");
         spec.params = ParamMap::parse("epochs=2,features=8");
-
-        spec.backend = "graphr";
-        const RunResult single = runOne(spec);
-        spec.backend = "multinode";
+        const RunResult single = runSingle(spec);
+        spec.backends = {"multinode"};
         spec.backendOptions.numNodes = 1;
-        const RunResult cluster = runOne(spec);
+        const RunResult cluster = runSingle(spec);
         EXPECT_NEAR(cluster.seconds, single.seconds,
                     single.seconds * 1e-9)
             << algo;
@@ -486,14 +497,11 @@ goldenPath()
 std::string
 runGoldenReport()
 {
-    RunSpec spec;
-    spec.workload = "pagerank";
-    spec.backend = "graphr";
-    spec.dataset = "rmat:vertices=256,edges=2048,seed=7";
+    SweepSpec spec = singleRun("pagerank", "graphr",
+                               "rmat:vertices=256,edges=2048,seed=7");
     spec.params = ParamMap::parse("iterations=10,tolerance=0");
-    const RunResult result = runOne(spec);
     std::ostringstream oss;
-    writeResultsJson(oss, {result});
+    writeResultsJson(oss, runSweep(spec));
     return oss.str();
 }
 

@@ -20,8 +20,8 @@
 #include "algorithms/wcc.hh"
 #include "common/random.hh"
 #include "driver/driver.hh"
-#include "driver/golden_cache.hh"
 #include "graph/generator.hh"
+#include "graphr/engine/golden_cache.hh"
 #include "graphr/engine/plan_cache.hh"
 #include "graphr/engine/tile_executor.hh"
 #include "graphr/node.hh"
@@ -56,7 +56,7 @@ TEST(FingerprintTest, DeterministicAndSensitive)
     EXPECT_EQ(graphFingerprint(a), graphFingerprint(b));
 
     CooGraph c = a;
-    c.mutableEdges()[0].weight += 1.0;
+    c.editEdges([](std::vector<Edge> &edges) { edges[0].weight += 1.0; });
     EXPECT_NE(graphFingerprint(a), graphFingerprint(c));
 
     const CooGraph d =
@@ -101,20 +101,48 @@ TEST(PlanCacheTest, EvictionKeepsHandlesValid)
 {
     PlanCache &cache = PlanCache::instance();
     cache.clear();
-    cache.setCapacity(1);
     const CooGraph a = makeChain(32);
     const CooGraph b = makeChain(33);
     const TilingParams tiling;
+    // A budget that holds either plan but not both.
+    const std::size_t budget =
+        TilePlan(b, tiling).footprintBytes() + 1;
+    cache.setBudgetBytes(budget);
 
     const TilePlanPtr pa = cache.get(a, tiling);
     const TilePlanPtr pb = cache.get(b, tiling); // evicts a's entry
     EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.bytes(), pb->footprintBytes());
     // The evicted plan is still alive through our handle.
     EXPECT_GT(pa->meta.totalNnz(), 0u);
     // Re-requesting a is a miss again.
     cache.get(a, tiling);
     EXPECT_EQ(cache.stats().misses, 3u);
-    cache.setCapacity(PlanCache::kDefaultCapacity);
+    cache.setBudgetBytes(PlanCache::kDefaultBudgetBytes);
+}
+
+TEST(PlanCacheTest, PlanOverBudgetIsServedButNotRetained)
+{
+    PlanCache &cache = PlanCache::instance();
+    cache.clear();
+    const CooGraph small = makeChain(16);
+    const CooGraph large = makeChain(64);
+    const TilingParams tiling;
+    cache.setBudgetBytes(TilePlan(small, tiling).footprintBytes());
+
+    cache.get(small, tiling);
+    const TilePlanPtr plan = cache.get(large, tiling);
+    ASSERT_NE(plan, nullptr);
+    EXPECT_EQ(plan->meta.totalNnz(), large.numEdges());
+    // The oversized plan went back out, and it did not push the
+    // resident one out on its way.
+    EXPECT_EQ(cache.size(), 1u);
+    bool hit = false;
+    cache.get(small, tiling, &hit);
+    EXPECT_TRUE(hit);
+    cache.get(large, tiling, &hit);
+    EXPECT_FALSE(hit);
+    cache.setBudgetBytes(PlanCache::kDefaultBudgetBytes);
 }
 
 TEST(PlanCacheTest, SharedAcrossRunnersAndBackends)
@@ -424,7 +452,7 @@ TEST(ResidentWeightTest, AddOpProgramsEachTileAtMostOnce)
 
 TEST(GoldenCacheTest, BaselinesShareOneGoldenPageRank)
 {
-    driver::clearGoldenCache();
+    clearGoldenCache();
 
     driver::SweepSpec spec;
     spec.workloads = {"pagerank"};
@@ -437,23 +465,23 @@ TEST(GoldenCacheTest, BaselinesShareOneGoldenPageRank)
     EXPECT_EQ(results[0].iterations, results[1].iterations);
     EXPECT_EQ(results[1].iterations, results[2].iterations);
     // ... computed exactly once.
-    EXPECT_EQ(driver::goldenCacheStats().misses, 1u);
-    EXPECT_EQ(driver::goldenCacheStats().hits, 2u);
+    EXPECT_EQ(goldenCacheStats().misses, 1u);
+    EXPECT_EQ(goldenCacheStats().hits, 2u);
 }
 
 TEST(GoldenCacheTest, DistinctParamsMiss)
 {
-    driver::clearGoldenCache();
+    clearGoldenCache();
     const CooGraph g =
         makeRmat({.numVertices = 64, .numEdges = 256, .seed = 5});
     PageRankParams a;
     PageRankParams b;
     b.maxIterations = a.maxIterations + 1;
-    driver::cachedGoldenPageRank(g, a);
-    driver::cachedGoldenPageRank(g, b);
-    driver::cachedGoldenPageRank(g, a);
-    EXPECT_EQ(driver::goldenCacheStats().misses, 2u);
-    EXPECT_EQ(driver::goldenCacheStats().hits, 1u);
+    cachedGoldenPageRank(g, a);
+    cachedGoldenPageRank(g, b);
+    cachedGoldenPageRank(g, a);
+    EXPECT_EQ(goldenCacheStats().misses, 2u);
+    EXPECT_EQ(goldenCacheStats().hits, 1u);
 }
 
 // ------------------------------------------- report stability on reuse
@@ -503,7 +531,7 @@ TEST(SimdSweepParityTest, FunctionalSweepJsonIdenticalAcrossTiers)
 
     const auto sweep_json = [&spec] {
         PlanCache::instance().clear();
-        driver::clearGoldenCache();
+        clearGoldenCache();
         std::ostringstream os;
         driver::writeResultsJson(os, driver::runSweep(spec));
         return os.str();

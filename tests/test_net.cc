@@ -22,7 +22,8 @@
 #include "client/client.hh"
 #include "common/failpoint.hh"
 #include "common/json_reader.hh"
-#include "driver/golden_cache.hh"
+#include "driver/dataset.hh"
+#include "graphr/engine/golden_cache.hh"
 #include "graphr/engine/plan_cache.hh"
 #include "net/event_loop.hh"
 #include "net/line_buffer.hh"
@@ -166,7 +167,8 @@ class NetServeTest : public ::testing::Test
     {
         PlanCache::instance().setStore(nullptr);
         PlanCache::instance().clear();
-        driver::clearGoldenCache();
+        clearGoldenCache();
+        driver::clearDatasetCache();
         perf::Registry::instance().resetAll();
     }
 };
@@ -226,7 +228,8 @@ expectConnectionsMatchBlocking(std::uint32_t jobs)
     ASSERT_FALSE(expected.empty());
 
     PlanCache::instance().clear();
-    driver::clearGoldenCache();
+    clearGoldenCache();
+    driver::clearDatasetCache();
     perf::Registry::instance().resetAll();
 
     service::ServeOptions options;

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "algorithms/wcc.hh"
 #include "graph/generator.hh"
+#include "graph/partition.hh"
 #include "graphr/out_of_core.hh"
 
 namespace graphr
@@ -102,6 +106,63 @@ TEST(OutOfCoreTest, SsspStreamsOnlyActiveBlockRows)
         static_cast<double>(ss.node.iterations);
     EXPECT_LT(ss_bytes_per_round, pr_bytes_per_iter * 1.001);
     EXPECT_GT(ss.bytesStreamed, 0u);
+}
+
+/**
+ * The selective schedule of an independent software replay: run the
+ * relaxation round by round and stream every block-row that holds an
+ * active source. The runner must charge exactly this, read off the
+ * node's own timing rounds.
+ */
+void
+expectReplayedStreaming(const OutOfCoreReport &rep, const CooGraph &graph,
+                        RelaxationSweep sweep, const GraphRConfig &cfg,
+                        const StorageParams &storage)
+{
+    const GridPartition part(graph.numVertices(), cfg.tiling);
+    std::vector<std::uint64_t> row_bytes(part.blocksPerDim(), 0);
+    for (const Edge &e : graph.edges())
+        row_bytes[e.src / part.blockSize()] += cfg.bytesPerEdge;
+    std::uint64_t bytes = 0;
+    double seconds = 0.0;
+    while (!sweep.done()) {
+        for (std::uint64_t row = 0; row < part.blocksPerDim(); ++row) {
+            const std::uint64_t lo = row * part.blockSize();
+            const std::uint64_t hi = std::min<std::uint64_t>(
+                lo + part.blockSize(), graph.numVertices());
+            bool any = false;
+            for (std::uint64_t v = lo; v < hi && !any; ++v)
+                any = sweep.active()[v];
+            if (!any)
+                continue;
+            bytes += row_bytes[row];
+            seconds += static_cast<double>(row_bytes[row]) /
+                           (storage.seqBandwidthGBs * 1e9) +
+                       static_cast<double>(part.blocksPerDim()) *
+                           storage.accessLatencyUs * 1e-6;
+        }
+        sweep.step();
+    }
+    EXPECT_EQ(rep.bytesStreamed, bytes);
+    EXPECT_EQ(rep.diskSeconds, seconds);
+}
+
+TEST(OutOfCoreTest, SelectiveRoundsMatchASoftwareReplay)
+{
+    const CooGraph g = makeRmat({.numVertices = 3000,
+                                 .numEdges = 20000,
+                                 .maxWeight = 9.0,
+                                 .seed = 86});
+    const GraphRConfig cfg = blockedConfig(256);
+    const StorageParams storage;
+    OutOfCoreRunner runner(cfg, storage);
+    expectReplayedStreaming(runner.runBfs(g, 3), g,
+                            RelaxationSweep(g, 3, true), cfg, storage);
+    expectReplayedStreaming(runner.runSssp(g, 3), g,
+                            RelaxationSweep(g, 3, false), cfg, storage);
+    const CooGraph sym = symmetrize(g);
+    expectReplayedStreaming(runner.runWcc(g), sym, makeWccSweep(sym),
+                            cfg, storage);
 }
 
 TEST(OutOfCoreTest, EnergyIncludesDisk)

@@ -16,10 +16,11 @@
 
 #include "common/lru_cache.hh"
 #include "common/thread_pool.hh"
+#include "driver/dataset.hh"
 #include "driver/driver.hh"
-#include "driver/golden_cache.hh"
 #include "driver/run_result.hh"
 #include "graph/generator.hh"
+#include "graphr/engine/golden_cache.hh"
 #include "graphr/engine/plan_cache.hh"
 
 namespace graphr
@@ -147,7 +148,7 @@ TEST(ParallelCacheTest, FailedBuildPropagatesAndRetries)
 
 TEST(ParallelCacheTest, GoldenCacheHammering)
 {
-    driver::clearGoldenCache();
+    clearGoldenCache();
     const CooGraph graph =
         makeRmat({.numVertices = 128, .numEdges = 512, .seed = 17});
     PageRankParams params;
@@ -161,7 +162,7 @@ TEST(ParallelCacheTest, GoldenCacheHammering)
             threads.emplace_back([&, t] {
                 for (int i = 0; i < 10; ++i) {
                     results[static_cast<std::size_t>(t)] =
-                        driver::cachedGoldenPageRank(graph, params);
+                        cachedGoldenPageRank(graph, params);
                 }
             });
         }
@@ -169,11 +170,11 @@ TEST(ParallelCacheTest, GoldenCacheHammering)
             thread.join();
     }
 
-    EXPECT_EQ(driver::goldenCacheStats().misses, 1u);
+    EXPECT_EQ(goldenCacheStats().misses, 1u);
     for (int t = 1; t < kThreads; ++t)
         EXPECT_EQ(results[static_cast<std::size_t>(t)].get(),
                   results[0].get());
-    driver::clearGoldenCache();
+    clearGoldenCache();
 }
 
 // --------------------------------------------------- sweep determinism

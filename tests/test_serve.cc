@@ -17,9 +17,10 @@
 #include <vector>
 
 #include "common/json_reader.hh"
+#include "driver/dataset.hh"
 #include "driver/driver.hh"
-#include "driver/golden_cache.hh"
 #include "graph/preprocess.hh"
+#include "graphr/engine/golden_cache.hh"
 #include "graphr/engine/plan_cache.hh"
 #include "perf/counters.hh"
 #include "service/request.hh"
@@ -53,7 +54,8 @@ class ServeTest : public ::testing::Test
     {
         PlanCache::instance().setStore(nullptr);
         PlanCache::instance().clear();
-        driver::clearGoldenCache();
+        clearGoldenCache();
+        driver::clearDatasetCache();
         // The status latency summary reads the process-wide perf
         // registry; reset it so each test sees only its own requests.
         perf::Registry::instance().resetAll();
@@ -242,6 +244,48 @@ TEST_F(ServeTest, WarmRepeatRequestHitsThePlanCacheAndSkipsTheSort)
     const JsonValue v = parsedResponse(status[0]);
     EXPECT_GE(v.find("plan_cache")->find("hits")->asU64(), 1u);
     EXPECT_EQ(v.find("served")->find("completed")->asU64(), 2u);
+}
+
+TEST_F(ServeTest, RepeatedRequestGeneratesAndHashesNothing)
+{
+    // The warm path end to end: a repeated request reuses the
+    // resident dataset (no generation), its memoised fingerprint (no
+    // edge hashed) and the golden PageRank (a golden-cache hit).
+    service::Server server({});
+    const std::string request =
+        R"({"id":"r","type":"run","workload":"pagerank",)"
+        R"("backend":"graphr","dataset":"rmat:vertices=256,edges=2048,seed=5"})"
+        "\n";
+    perf::Registry &registry = perf::Registry::instance();
+    const auto count = [&registry](const char *name) {
+        return registry.counter(name).value();
+    };
+
+    const std::string first = serveText(server, request);
+    EXPECT_EQ(count("dataset.generations"), 1u);
+    EXPECT_EQ(count("fingerprint.edges_hashed"), 2048u);
+    EXPECT_EQ(count("golden_cache.misses"), 1u);
+
+    const std::string second = serveText(server, request);
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(count("dataset.generations"), 1u);
+    EXPECT_EQ(count("fingerprint.edges_hashed"), 2048u);
+    EXPECT_EQ(count("golden_cache.hits"), 1u);
+
+    const auto status = lines(
+        serveText(server, "{\"id\":\"q\",\"type\":\"status\"}\n"));
+    ASSERT_EQ(status.size(), 1u);
+    const JsonValue v = parsedResponse(status[0]);
+    const JsonValue *datasets = v.find("dataset_cache");
+    ASSERT_NE(datasets, nullptr);
+    EXPECT_EQ(datasets->find("size")->asU64(), 1u);
+    EXPECT_GE(datasets->find("bytes")->asU64(), 2048u * sizeof(Edge));
+    EXPECT_EQ(datasets->find("hits")->asU64(), 1u);
+    EXPECT_EQ(datasets->find("misses")->asU64(), 1u);
+    EXPECT_EQ(v.find("golden_cache")->find("hits")->asU64(), 1u);
+    EXPECT_EQ(v.find("plan_cache")->find("bytes")->asU64(),
+              PlanCache::instance().bytes());
+    EXPECT_GE(PlanCache::instance().bytes(), 2048u * sizeof(Edge));
 }
 
 TEST_F(ServeTest, StatusReportsCumulativeRequestLatencySummary)

@@ -20,6 +20,7 @@
 
 #include "common/checksum.hh"
 #include "common/failpoint.hh"
+#include "driver/dataset.hh"
 #include "driver/driver.hh"
 #include "driver/prepare.hh"
 #include "driver/run_result.hh"
@@ -487,6 +488,10 @@ TEST_F(PlanStoreTest, ColdWarmAndStorelessSweepsAreByteIdentical)
     for (const std::uint32_t jobs : {1u, 4u}) {
         const std::string dir =
             freshDir("determinism_j" + std::to_string(jobs));
+        // The storeless run generates the dataset afresh; the store
+        // runs reuse it, with its memoised derived state, from the
+        // process-wide dataset cache.
+        driver::clearDatasetCache();
         const std::string none = sweepJson(sweepSpec("", jobs));
         const std::string cold = sweepJson(sweepSpec(dir, jobs));
         const std::string warm = sweepJson(sweepSpec(dir, jobs));
@@ -878,16 +883,15 @@ TEST_F(PlanStoreTest, RawAndCompressedWarmSweepsAreByteIdentical)
 std::string
 goldenRunJson(const std::string &plan_dir)
 {
-    driver::RunSpec spec;
-    spec.workload = "pagerank";
-    spec.backend = "graphr";
-    spec.dataset = "rmat:vertices=256,edges=2048,seed=7";
+    driver::SweepSpec spec;
+    spec.workloads = {"pagerank"};
+    spec.backends = {"graphr"};
+    spec.datasets = {"rmat:vertices=256,edges=2048,seed=7"};
     spec.params = driver::ParamMap::parse("iterations=10,tolerance=0");
     spec.store.planDir = plan_dir;
     PlanCache::instance().clear();
-    const driver::RunResult result = driver::runOne(spec);
     std::ostringstream oss;
-    driver::writeResultsJson(oss, {result});
+    driver::writeResultsJson(oss, driver::runSweep(spec));
     return oss.str();
 }
 
