@@ -259,7 +259,7 @@ planStoreColdVsWarm(const perf::RepOptions &rep, EdgeId edges,
     // The cold-start win of the on-disk preprocessing store: cold
     // pays fingerprint + partition + O(E log E) sort + meta
     // extraction (what a storeless process pays); warm is a validated
-    // artifact load through the store's mmap/chunked path — no sort.
+    // artifact load through the store's whole-file read — no sort.
     const CooGraph g = makeRmat({.numVertices =
                                      static_cast<VertexId>(edges / 8),
                                  .numEdges = edges,

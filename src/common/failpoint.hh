@@ -26,7 +26,7 @@
  *           stall milliseconds of pool.task.slow)
  *
  *   GRAPHR_FAILPOINTS=store.read.short:1@3,serve.write.eio:1@*
- *       -> the third buffered store read comes back short once, and
+ *       -> the third store read chunk comes back short once, and
  *          every serve-side socket write reports an I/O error.
  *
  * Sites are reached via the GRAPHR_FAILPOINT macros. When no spec is

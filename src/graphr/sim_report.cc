@@ -2,8 +2,6 @@
 
 #include <iomanip>
 
-#include "common/json.hh"
-
 namespace graphr
 {
 
@@ -26,40 +24,6 @@ SimReport::print(std::ostream &os) const
        << tilesSkipped << " skipped\n";
     os << "  edges         " << edgesProcessed << " visits\n";
     os << "  occupancy     " << occupancy << "\n";
-}
-
-void
-SimReport::toJson(JsonWriter &w) const
-{
-    w.beginObject();
-    w.field("algorithm", algorithm);
-    w.field("seconds", seconds);
-    w.field("joules", joules);
-    w.key("time_breakdown");
-    w.beginObject();
-    w.field("program_seconds", programSeconds);
-    w.field("compute_seconds", computeSeconds);
-    w.field("stream_seconds", streamSeconds);
-    w.endObject();
-    w.key("energy_breakdown");
-    w.beginObject();
-    w.field("write", energy.write);
-    w.field("read", energy.read);
-    w.field("adc", energy.adc);
-    w.field("sample_hold", energy.sampleHold);
-    w.field("shift_add", energy.shiftAdd);
-    w.field("salu", energy.salu);
-    w.field("reg", energy.reg);
-    w.field("memory", energy.memory);
-    w.field("peripheral", energy.peripheral);
-    w.endObject();
-    w.field("iterations", iterations);
-    w.field("tiles_processed", tilesProcessed);
-    w.field("tiles_skipped", tilesSkipped);
-    w.field("edges_processed", edgesProcessed);
-    w.field("active_row_ops", activeRowOps);
-    w.field("occupancy", occupancy);
-    w.endObject();
 }
 
 } // namespace graphr

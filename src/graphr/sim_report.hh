@@ -15,8 +15,6 @@
 namespace graphr
 {
 
-class JsonWriter;
-
 /** Timing and energy outcome of a GraphR run. */
 struct SimReport
 {
@@ -46,9 +44,6 @@ struct SimReport
 
     /** Human-readable dump. */
     void print(std::ostream &os) const;
-
-    /** Emit the report as one JSON object on the writer. */
-    void toJson(JsonWriter &w) const;
 };
 
 } // namespace graphr

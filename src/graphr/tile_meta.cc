@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <unordered_set>
+#include <utility>
 
 #include "common/logging.hh"
 

@@ -30,17 +30,6 @@ putVarint(std::vector<unsigned char> &out, std::uint64_t v)
     out.push_back(static_cast<unsigned char>(v));
 }
 
-std::size_t
-varintBytes(std::uint64_t v)
-{
-    std::size_t n = 1;
-    while (v >= 0x80) {
-        v >>= 7;
-        ++n;
-    }
-    return n;
-}
-
 void
 putU64(std::vector<unsigned char> &out, std::uint64_t v)
 {
@@ -178,16 +167,14 @@ malformedInput(const std::string &why)
     throw CodecError("edge codec: " + why);
 }
 
-} // namespace
-
+/**
+ * One encoder pass over the whole tile directory. @p raw_weights
+ * forces weight mode 2 on every tile instead of the cheapest mode.
+ */
 std::vector<unsigned char>
-encodeEdgeStream(const GridPartition &partition,
-                 std::span<const Edge> edges,
-                 std::span<const TileSpan> tiles)
+encodeTiles(const GridPartition &partition, std::span<const Edge> edges,
+            std::span<const TileSpan> tiles, bool raw_weights)
 {
-    static perf::Counter &encoded =
-        perf::Registry::instance().counter("store.codec.encoded_edges");
-
     const std::uint64_t one_bits = std::bit_cast<std::uint64_t>(1.0);
     const std::uint32_t dim = partition.crossbarDim();
     const std::uint64_t width = partition.tileWidth();
@@ -252,7 +239,8 @@ encodeEdgeStream(const GridPartition &partition,
                           locals.back() < capacity,
                       "local cell id exceeds tile capacity");
 
-        const unsigned mode = all_ones    ? kWeightAllOnes
+        const unsigned mode = raw_weights ? kWeightRaw
+                              : all_ones  ? kWeightAllOnes
                               : constant  ? kWeightConstant
                                           : kWeightRaw;
         const unsigned k = chooseLowBits(deltas.data(), deltas.size());
@@ -297,6 +285,26 @@ encodeEdgeStream(const GridPartition &partition,
     }
     if (covered != edges.size())
         malformedInput("tile directory does not cover the edge list");
+    return out;
+}
+
+} // namespace
+
+std::vector<unsigned char>
+encodeEdgeStream(const GridPartition &partition,
+                 std::span<const Edge> edges,
+                 std::span<const TileSpan> tiles)
+{
+    static perf::Counter &encoded =
+        perf::Registry::instance().counter("store.codec.encoded_edges");
+
+    std::vector<unsigned char> out =
+        encodeTiles(partition, edges, tiles, false);
+    // A stream so duplicate-heavy that it trips the decoder's expansion
+    // bound is re-encoded with raw per-edge weights (>= 8 bytes/edge),
+    // so every stream emitted here is one the decoder accepts.
+    if (edges.size() > out.size() * kMaxEdgesPerStreamByte)
+        out = encodeTiles(partition, edges, tiles, true);
     encoded.add(edges.size());
     return out;
 }

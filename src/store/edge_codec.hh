@@ -76,15 +76,16 @@ class CodecError : public std::runtime_error
  * this many per encoded byte. Duplicate-heavy tiles compress without
  * limit (a run of equal cells is one varint), so without a cap a
  * hand-crafted 100-byte artifact could declare 2^40 edges and force
- * an unbounded allocation before any data is decoded. The writer
- * falls back to the raw payload for streams past the bound, so every
- * artifact the store writes is loadable.
+ * an unbounded allocation before any data is decoded. The encoder
+ * re-encodes a stream past the bound with raw per-edge weights (mode
+ * 2, at least 8 bytes/edge), so every stream it emits is decodable.
  */
 constexpr std::uint64_t kMaxEdgesPerStreamByte = 1024;
 
 /**
  * Encode an ordered, tiled edge list (the products of the
- * preprocessing sort) into the delta-stream format. Throws CodecError
+ * preprocessing sort) into the delta-stream format; the result always
+ * respects kMaxEdgesPerStreamByte. Throws CodecError
  * if the input violates canonical streaming order — which indicates a
  * caller bug, not bad data.
  */

@@ -4,12 +4,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
-#include <random>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -20,13 +17,9 @@
 #include "perf/counters.hh"
 #include "store/edge_codec.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define GRAPHR_STORE_HAVE_MMAP 1
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace graphr
 {
@@ -38,18 +31,12 @@ namespace
 
 constexpr std::uint32_t kMagic = 'G' | ('P' << 8) | ('L' << 16) |
                                  ('N' << 24);
-/** Payload codec tags (first four payload bytes, format v2+). */
-constexpr std::uint32_t kCodecRaw = 'R' | ('A' << 8) | ('W' << 16) |
-                                    ('0' << 24);
+/** Payload codec tag (first four payload bytes, format v2). */
 constexpr std::uint32_t kCodecDelta = 'D' | ('L' << 8) | ('T' << 16) |
                                       ('1' << 24);
 constexpr std::size_t kHeaderBytes = 88;
 /** Bytes of the header covered by the header checksum. */
 constexpr std::size_t kHeaderChecksummedBytes = kHeaderBytes - 8;
-constexpr std::size_t kEdgeRecordBytes = 4 + 4 + 8;
-constexpr std::size_t kSpanRecordBytes = 3 * 8;
-/** Fixed (pre-rowNnz) part of one serialised TileMeta record. */
-constexpr std::size_t kMetaFixedBytes = 4 * 8 + 2 * 4 + 2 * 8 + 4;
 
 /** Append-only little buffer builder for headers and payloads. */
 class ByteWriter
@@ -72,8 +59,6 @@ class ByteWriter
     }
 
     const std::vector<unsigned char> &bytes() const { return bytes_; }
-
-    void reserve(std::size_t n) { bytes_.reserve(n); }
 
   private:
     std::vector<unsigned char> bytes_;
@@ -100,15 +85,12 @@ class ByteReader
         return true;
     }
 
-    std::size_t remaining() const { return size_ - pos_; }
-
   private:
     const unsigned char *data_;
     std::size_t size_;
     std::size_t pos_ = 0;
 };
 
-#ifdef GRAPHR_STORE_HAVE_MMAP
 /**
  * Bounded retry policy for transient I/O errors (EINTR/EAGAIN and
  * short transfers): an operation is retried at most this many times,
@@ -164,7 +146,75 @@ writeFull(int fd, const unsigned char *data, std::size_t n,
     }
     return true;
 }
-#endif
+
+/** Read-only file descriptor, closed on every path out of scope. */
+class ReadFd
+{
+  public:
+    explicit ReadFd(const std::string &path)
+        : fd_(::open(path.c_str(), O_RDONLY))
+    {
+    }
+    ReadFd(const ReadFd &) = delete;
+    ReadFd &operator=(const ReadFd &) = delete;
+    ~ReadFd()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+
+    int get() const { return fd_; }
+
+  private:
+    int fd_;
+};
+
+/**
+ * Read a whole file into @p bytes, sized once from fstat. Transient
+ * errors (EINTR/EAGAIN — injectable via store.read.eintr) are retried
+ * with bounded backoff; a premature EOF (store.read.short) simply
+ * yields a truncated buffer, which header/payload validation then
+ * rejects — the degrade-to-fresh-prepare path, never a crash. False
+ * on any permanent I/O failure.
+ */
+bool
+readFile(const std::string &path, std::vector<unsigned char> &bytes)
+{
+    if (GRAPHR_FAILPOINT("store.open.fail"))
+        return false;
+    const ReadFd fd(path);
+    struct ::stat st = {};
+    if (fd.get() < 0 || ::fstat(fd.get(), &st) != 0 || st.st_size < 0)
+        return false;
+    bytes.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    int transient = 0;
+    while (got < bytes.size()) {
+        ssize_t n = 0;
+        if (GRAPHR_FAILPOINT("store.read.eintr")) {
+            n = -1;
+            errno = EINTR;
+        } else if (GRAPHR_FAILPOINT("store.read.short")) {
+            n = 0; // the file "ends" mid-read: truncated artifact
+        } else {
+            n = ::read(fd.get(), bytes.data() + got, bytes.size() - got);
+        }
+        if (n < 0) {
+            if ((errno == EINTR || errno == EAGAIN) &&
+                ++transient < kMaxIoAttempts) {
+                noteRetry();
+                backoff(transient);
+                continue;
+            }
+            return false;
+        }
+        if (n == 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    bytes.resize(got);
+    return true;
+}
 
 /** Decoded artifact header. */
 struct Header
@@ -178,167 +228,6 @@ struct Header
     std::uint64_t totalNnz = 0;
     std::uint64_t payloadBytes = 0;
     std::uint64_t payloadChecksum = 0;
-};
-
-/**
- * Whole-file bytes, mmap'd where possible. The chunked-read fallback
- * covers platforms without mmap and the GRAPHR_STORE_NO_MMAP=1
- * escape hatch (used by tests to exercise both paths).
- */
-class FileBytes
-{
-  public:
-    FileBytes() = default;
-    FileBytes(const FileBytes &) = delete;
-    FileBytes &operator=(const FileBytes &) = delete;
-
-    ~FileBytes()
-    {
-#ifdef GRAPHR_STORE_HAVE_MMAP
-        if (map_ != nullptr)
-            ::munmap(map_, mapSize_);
-#endif
-    }
-
-    /** Read (or map) a whole file; false on any I/O failure. */
-    bool
-    read(const std::string &path)
-    {
-        if (GRAPHR_FAILPOINT("store.open.fail"))
-            return false;
-#ifdef GRAPHR_STORE_HAVE_MMAP
-        const char *no_mmap = std::getenv("GRAPHR_STORE_NO_MMAP");
-        if (no_mmap == nullptr || no_mmap[0] == '\0' ||
-            no_mmap[0] == '0') {
-            if (readMapped(path))
-                return true;
-            // fall through to the buffered path on mmap failure
-        }
-#endif
-        return readBuffered(path);
-    }
-
-    const unsigned char *data() const { return data_; }
-    std::size_t size() const { return size_; }
-
-  private:
-#ifdef GRAPHR_STORE_HAVE_MMAP
-    bool
-    readMapped(const std::string &path)
-    {
-        if (GRAPHR_FAILPOINT("store.mmap.fail"))
-            return false; // degrades to the buffered path below
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd < 0)
-            return false;
-        struct ::stat st = {};
-        if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-            ::close(fd);
-            return false;
-        }
-        if (st.st_size == 0) {
-            // Nothing to map; an empty artifact is simply invalid.
-            ::close(fd);
-            data_ = nullptr;
-            size_ = 0;
-            return true;
-        }
-        mapSize_ = static_cast<std::size_t>(st.st_size);
-        void *map =
-            ::mmap(nullptr, mapSize_, PROT_READ, MAP_PRIVATE, fd, 0);
-        ::close(fd);
-        if (map == MAP_FAILED) {
-            mapSize_ = 0;
-            return false;
-        }
-        map_ = map;
-        data_ = static_cast<const unsigned char *>(map);
-        size_ = mapSize_;
-        return true;
-    }
-#endif
-
-#ifdef GRAPHR_STORE_HAVE_MMAP
-    /**
-     * Chunked POSIX read of the whole file. Transient errors
-     * (EINTR/EAGAIN — injectable via store.read.eintr) are retried
-     * with bounded backoff; a premature EOF (store.read.short) simply
-     * yields a truncated buffer, which header/payload validation then
-     * rejects — the degrade-to-fresh-prepare path, never a crash.
-     */
-    bool
-    readBuffered(const std::string &path)
-    {
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd < 0)
-            return false;
-        constexpr std::size_t kChunk = 1 << 20;
-        buffer_.clear();
-        int transient = 0;
-        for (;;) {
-            const std::size_t at = buffer_.size();
-            buffer_.resize(at + kChunk);
-            ssize_t n;
-            if (GRAPHR_FAILPOINT("store.read.eintr")) {
-                n = -1;
-                errno = EINTR;
-            } else if (GRAPHR_FAILPOINT("store.read.short")) {
-                n = 0; // the file "ends" mid-read: truncated artifact
-            } else {
-                n = ::read(fd, buffer_.data() + at, kChunk);
-            }
-            if (n < 0) {
-                buffer_.resize(at);
-                if ((errno == EINTR || errno == EAGAIN) &&
-                    ++transient < kMaxIoAttempts) {
-                    noteRetry();
-                    backoff(transient);
-                    continue;
-                }
-                ::close(fd);
-                return false;
-            }
-            buffer_.resize(at + static_cast<std::size_t>(n));
-            if (n == 0)
-                break;
-        }
-        ::close(fd);
-        data_ = buffer_.data();
-        size_ = buffer_.size();
-        return true;
-    }
-#else
-    bool
-    readBuffered(const std::string &path)
-    {
-        std::ifstream is(path, std::ios::binary);
-        if (!is)
-            return false;
-        constexpr std::size_t kChunk = 1 << 20;
-        buffer_.clear();
-        while (is) {
-            const std::size_t at = buffer_.size();
-            buffer_.resize(at + kChunk);
-            is.read(reinterpret_cast<char *>(buffer_.data() + at),
-                    static_cast<std::streamsize>(kChunk));
-            buffer_.resize(at +
-                           static_cast<std::size_t>(is.gcount()));
-        }
-        if (!is.eof())
-            return false;
-        data_ = buffer_.data();
-        size_ = buffer_.size();
-        return true;
-    }
-#endif
-
-    std::vector<unsigned char> buffer_;
-#ifdef GRAPHR_STORE_HAVE_MMAP
-    void *map_ = nullptr;
-    std::size_t mapSize_ = 0;
-#endif
-    const unsigned char *data_ = nullptr;
-    std::size_t size_ = 0;
 };
 
 void
@@ -438,189 +327,82 @@ decodeHeader(const unsigned char *data, std::size_t size, Header &h,
     return true;
 }
 
-void
-serializePayload(ByteWriter &w, const TilePlan &plan)
+/**
+ * Read an artifact and decode its header into @p h. Returns "" or why
+ * the file is unusable; the payload is not yet verified.
+ */
+std::string
+readArtifact(const std::string &file, std::vector<unsigned char> &bytes,
+             Header &h)
 {
-    const std::span<const Edge> edges = plan.ordered.edges();
-    const std::span<const TileSpan> spans = plan.ordered.tiles();
-    const std::vector<TileMeta> &meta = plan.meta.tiles();
-
-    std::size_t meta_bytes = 0;
-    for (const TileMeta &m : meta)
-        meta_bytes += kMetaFixedBytes + m.rowNnz.size() * 4;
-    w.reserve(edges.size() * kEdgeRecordBytes +
-              spans.size() * kSpanRecordBytes + meta_bytes);
-
-    for (const Edge &e : edges) {
-        w.raw(e.src);
-        w.raw(e.dst);
-        w.raw(static_cast<double>(e.weight));
-    }
-    for (const TileSpan &s : spans) {
-        w.raw(s.tileIndex);
-        w.raw(s.firstEdge);
-        w.raw(s.numEdges);
-    }
-    for (const TileMeta &m : meta) {
-        w.raw(m.tileIndex);
-        w.raw(m.row0);
-        w.raw(m.col0);
-        w.raw(m.nnz);
-        w.raw(m.crossbarsUsed);
-        w.raw(m.maxRowsProgrammed);
-        w.raw(m.rowMask);
-        w.raw(m.nnzColumns);
-        w.raw(static_cast<std::uint32_t>(m.rowNnz.size()));
-        for (const std::uint32_t n : m.rowNnz)
-            w.raw(n);
-    }
+    if (!readFile(file, bytes))
+        return "unreadable";
+    std::string issue;
+    decodeHeader(bytes.data(), bytes.size(), h, issue);
+    return issue;
 }
 
-/** Deserialised payload, ready to assemble into a TilePlan. */
-struct PayloadParts
+/** Payload codec tag of a header-validated artifact (0 if absent). */
+std::uint32_t
+codecTag(const std::vector<unsigned char> &bytes)
 {
-    std::vector<Edge> edges;
-    std::vector<TileSpan> spans;
-    std::vector<TileMeta> meta;
-};
+    std::uint32_t tag = 0;
+    if (bytes.size() >= kHeaderBytes + 4)
+        std::memcpy(&tag, bytes.data() + kHeaderBytes, 4);
+    return tag;
+}
 
 /**
- * Parse a checksum-verified payload. Structural and semantic bounds
- * are still checked (a checksummed file can legitimately come from a
- * buggy writer), so every accepted plan is safe for downstream
- * consumers — every failure is a reject, never UB, an abort, or an
- * unbounded allocation.
+ * Verify the payload of an artifact whose header decoded — checksum,
+ * codec tag, then a full stream decode — and assemble the plan. The
+ * per-tile metadata is recomputed from the decoded edges by the same
+ * deterministic code a fresh prepare runs, so results stay
+ * byte-identical. Returns nullptr and fills @p issue on any defect.
  */
-bool
-parsePayload(const Header &h, const unsigned char *data,
-             std::size_t size, PayloadParts &parts, std::string &issue)
+TilePlanPtr
+decodePayload(const std::vector<unsigned char> &bytes, const Header &h,
+              std::string &issue)
 {
-    // Cheap overflow-safe bound before any allocation: the fixed
-    // records alone must fit in the declared payload.
-    if (h.edges > size / kEdgeRecordBytes ||
-        h.tiles > size / kSpanRecordBytes) {
-        issue = "record counts exceed payload size";
-        return false;
+    const unsigned char *payload = bytes.data() + kHeaderBytes;
+    const std::size_t payload_size = bytes.size() - kHeaderBytes;
+    if (fnv1a64(payload, payload_size) != h.payloadChecksum) {
+        issue = "payload checksum mismatch";
+        return nullptr;
     }
-    // Safe after decodeHeader's tiling/vertex validation.
-    const GridPartition part(static_cast<VertexId>(h.vertices),
-                             h.tiling);
-    ByteReader r(data, size);
-
-    parts.edges.resize(h.edges);
-    for (Edge &e : parts.edges) {
-        double weight = 0.0;
-        if (!r.raw(e.src) || !r.raw(e.dst) || !r.raw(weight)) {
-            issue = "truncated edge records";
-            return false;
-        }
-        if (e.src >= h.vertices || e.dst >= h.vertices) {
-            issue = "edge endpoint outside the vertex range";
-            return false;
-        }
-        e.weight = weight;
+    if (codecTag(bytes) != kCodecDelta) {
+        issue = "unknown payload codec tag";
+        return nullptr;
     }
-    parts.spans.resize(h.tiles);
-    std::uint64_t covered = 0; ///< edges accounted for by spans
-    std::uint64_t prev_tile = 0;
-    for (std::size_t i = 0; i < parts.spans.size(); ++i) {
-        TileSpan &s = parts.spans[i];
-        if (!r.raw(s.tileIndex) || !r.raw(s.firstEdge) ||
-            !r.raw(s.numEdges)) {
-            issue = "truncated tile directory";
-            return false;
-        }
-        // The computing path emits non-empty tiles, contiguous over
-        // the whole edge list, in strictly increasing tile order —
-        // require the same canonical shape back.
-        if (s.numEdges == 0 || s.firstEdge != covered ||
-            s.numEdges > h.edges - covered) {
-            issue = "tile directory is not a contiguous cover of "
-                    "the edge list";
-            return false;
-        }
-        if (s.tileIndex >= part.numTiles() ||
-            (i > 0 && s.tileIndex <= prev_tile)) {
-            issue = "tile directory out of streaming order";
-            return false;
-        }
-        prev_tile = s.tileIndex;
-        covered += s.numEdges;
+    // The stream carries no metadata table, so every tile's nnz is its
+    // edge count and the header totals must agree.
+    if (h.totalNnz != h.edges) {
+        issue = "total nnz disagrees with the edge count";
+        return nullptr;
     }
-    if (covered != h.edges) {
-        issue = "tile directory is not a contiguous cover of "
-                "the edge list";
-        return false;
+    try {
+        // Safe after decodeHeader's tiling/vertex validation.
+        const GridPartition part(static_cast<VertexId>(h.vertices),
+                                 h.tiling);
+        EdgeStreamDecoder dec(part, payload + 4, payload_size - 4);
+        if (dec.totalEdges() != h.edges || dec.totalTiles() != h.tiles) {
+            issue = "stream totals disagree with header";
+            return nullptr;
+        }
+        return std::make_shared<const TilePlan>(
+            static_cast<VertexId>(h.vertices), h.tiling, dec,
+            h.fingerprint);
+    } catch (const CodecError &e) {
+        issue = e.what();
+        return nullptr;
     }
-    parts.meta.resize(h.tiles);
-    std::uint64_t total_nnz = 0;
-    for (std::size_t i = 0; i < parts.meta.size(); ++i) {
-        TileMeta &m = parts.meta[i];
-        std::uint32_t row_nnz_len = 0;
-        if (!r.raw(m.tileIndex) || !r.raw(m.row0) || !r.raw(m.col0) ||
-            !r.raw(m.nnz) || !r.raw(m.crossbarsUsed) ||
-            !r.raw(m.maxRowsProgrammed) || !r.raw(m.rowMask) ||
-            !r.raw(m.nnzColumns) || !r.raw(row_nnz_len)) {
-            issue = "truncated tile metadata";
-            return false;
-        }
-        if (row_nnz_len != h.tiling.crossbarDim) {
-            issue = "tile metadata row count disagrees with tiling";
-            return false;
-        }
-        const TileSpan &s = parts.spans[i];
-        if (m.tileIndex != s.tileIndex || m.nnz != s.numEdges) {
-            issue = "tile metadata disagrees with the tile directory";
-            return false;
-        }
-        // Every edge of the tile must sit inside the tile's window —
-        // the guarantee GraphEngineArray::programTile and the
-        // out-of-core block accounting rely on (unsigned wraparound
-        // also catches src/dst below the origin).
-        for (std::uint64_t e = s.firstEdge;
-             e < s.firstEdge + s.numEdges; ++e) {
-            if (parts.edges[e].src - m.row0 >= h.tiling.crossbarDim ||
-                parts.edges[e].dst - m.col0 >= part.tileWidth()) {
-                issue = "tile metadata outside its tile window";
-                return false;
-            }
-        }
-        m.rowNnz.resize(row_nnz_len);
-        for (std::uint32_t &n : m.rowNnz) {
-            if (!r.raw(n)) {
-                issue = "truncated tile metadata rows";
-                return false;
-            }
-        }
-        total_nnz += m.nnz;
-    }
-    if (r.remaining() != 0) {
-        issue = "trailing bytes after payload";
-        return false;
-    }
-    if (total_nnz != h.totalNnz) {
-        issue = "total nnz disagrees with header";
-        return false;
-    }
-    return true;
 }
 
 /** Unique temporary suffix so concurrent saves never collide. */
 std::string
 tempSuffix()
 {
-#ifdef GRAPHR_STORE_HAVE_MMAP
-    const unsigned long uniq = static_cast<unsigned long>(::getpid());
-#else
-    // No pid available: a per-process random token keeps temp names
-    // from colliding across processes sharing one store directory.
-    static const unsigned long uniq = [] {
-        std::random_device rd;
-        return static_cast<unsigned long>(rd()) << 16 ^ rd();
-    }();
-#endif
     static std::atomic<std::uint64_t> counter{0};
-    return ".tmp-" + std::to_string(uniq) + "-" +
+    return ".tmp-" + std::to_string(::getpid()) + "-" +
            std::to_string(
                counter.fetch_add(1, std::memory_order_relaxed));
 }
@@ -654,13 +436,13 @@ PlanStore::PlanStore(const std::string &directory, Mode mode)
     // actionable message up front, not mid-sweep at the first save.
     const std::string probe =
         (fs::path(directory_) / (".probe" + tempSuffix())).string();
-    {
-        std::ofstream os(probe, std::ios::binary);
-        if (!os) {
-            throw StoreError("plan store directory '" + directory_ +
-                             "' is not writable");
-        }
+    const int fd =
+        ::open(probe.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0666);
+    if (fd < 0) {
+        throw StoreError("plan store directory '" + directory_ +
+                         "' is not writable");
     }
+    ::close(fd);
     fs::remove(probe, ec);
 }
 
@@ -723,13 +505,10 @@ PlanStore::load(std::uint64_t fingerprint,
         return nullptr;
     };
 
-    FileBytes bytes;
-    if (!bytes.read(file))
-        return reject("unreadable");
-
+    std::vector<unsigned char> bytes;
     Header h;
-    std::string issue;
-    if (!decodeHeader(bytes.data(), bytes.size(), h, issue))
+    std::string issue = readArtifact(file, bytes, h);
+    if (!issue.empty())
         return reject(issue);
     if (h.fingerprint != fingerprint)
         return reject("stale graph fingerprint");
@@ -738,50 +517,9 @@ PlanStore::load(std::uint64_t fingerprint,
         h.tiling.numGe != tiling.numGe ||
         h.tiling.blockSize != tiling.blockSize)
         return reject("tiling mismatch");
-
-    const unsigned char *payload = bytes.data() + kHeaderBytes;
-    const std::size_t payload_size = bytes.size() - kHeaderBytes;
-    if (fnv1a64(payload, payload_size) != h.payloadChecksum)
-        return reject("payload checksum mismatch");
-
-    if (payload_size < 4)
-        return reject("payload too small for a codec tag");
-    std::uint32_t codec = 0;
-    std::memcpy(&codec, payload, 4);
-    const unsigned char *body = payload + 4;
-    const std::size_t body_size = payload_size - 4;
-
-    TilePlanPtr plan;
-    if (codec == kCodecRaw) {
-        PayloadParts parts;
-        if (!parsePayload(h, body, body_size, parts, issue))
-            return reject(issue);
-        plan = std::make_shared<const TilePlan>(
-            static_cast<VertexId>(h.vertices), h.tiling,
-            std::move(parts.edges), std::move(parts.spans),
-            std::move(parts.meta), h.totalNnz, h.fingerprint);
-    } else if (codec == kCodecDelta) {
-        // The delta body carries no metadata table, so every tile's
-        // nnz is its edge count and the header totals must agree.
-        if (h.totalNnz != h.edges)
-            return reject("total nnz disagrees with the edge count");
-        try {
-            // Safe after decodeHeader's tiling/vertex validation.
-            const GridPartition part(
-                static_cast<VertexId>(h.vertices), h.tiling);
-            EdgeStreamDecoder dec(part, body, body_size);
-            if (dec.totalEdges() != h.edges ||
-                dec.totalTiles() != h.tiles)
-                return reject("stream totals disagree with header");
-            plan = std::make_shared<const TilePlan>(
-                static_cast<VertexId>(h.vertices), h.tiling, dec,
-                h.fingerprint);
-        } catch (const CodecError &e) {
-            return reject(e.what());
-        }
-    } else {
-        return reject("unknown payload codec tag");
-    }
+    TilePlanPtr plan = decodePayload(bytes, h, issue);
+    if (plan == nullptr)
+        return reject(issue);
 
     loadHits_.fetch_add(1, std::memory_order_relaxed);
     perf::Registry::instance().counter("store.load_hits").add();
@@ -791,28 +529,11 @@ PlanStore::load(std::uint64_t fingerprint,
 std::string
 PlanStore::save(const TilePlan &plan, const TilingParams &tiling) const
 {
+    const std::vector<unsigned char> stream = encodeEdgeStream(
+        plan.partition, plan.ordered.edges(), plan.ordered.tiles());
     ByteWriter payload;
-    const char *raw_env = std::getenv("GRAPHR_STORE_RAW");
-    const bool force_raw =
-        raw_env != nullptr && raw_env[0] != '\0' && raw_env[0] != '0';
-    bool wrote_delta = false;
-    if (!force_raw) {
-        const std::vector<unsigned char> stream = encodeEdgeStream(
-            plan.partition, plan.ordered.edges(), plan.ordered.tiles());
-        // Respect the decoder's expansion bound: a duplicate-heavy
-        // stream the decoder would refuse is written raw instead, so
-        // every artifact the store emits is loadable.
-        if (plan.ordered.edges().size() <=
-            stream.size() * kMaxEdgesPerStreamByte) {
-            payload.raw(kCodecDelta);
-            payload.append(stream.data(), stream.size());
-            wrote_delta = true;
-        }
-    }
-    if (!wrote_delta) {
-        payload.raw(kCodecRaw);
-        serializePayload(payload, plan);
-    }
+    payload.raw(kCodecDelta);
+    payload.append(stream.data(), stream.size());
 
     Header h;
     h.version = kFormatVersion;
@@ -833,7 +554,6 @@ PlanStore::save(const TilePlan &plan, const TilingParams &tiling) const
 
     const std::string final_path = path(plan.fingerprint, tiling);
     const std::string tmp_path = final_path + tempSuffix();
-#ifdef GRAPHR_STORE_HAVE_MMAP
     {
         const int fd =
             GRAPHR_FAILPOINT("store.write.fail")
@@ -870,28 +590,6 @@ PlanStore::save(const TilePlan &plan, const TilingParams &tiling) const
                              tmp_path + "': " + why);
         }
     }
-#else
-    {
-        std::ofstream os(tmp_path, std::ios::binary);
-        if (!os) {
-            throw StoreError("cannot write plan artifact '" +
-                             tmp_path + "'");
-        }
-        os.write(
-            reinterpret_cast<const char *>(header.bytes().data()),
-            static_cast<std::streamsize>(header.bytes().size()));
-        os.write(
-            reinterpret_cast<const char *>(payload.bytes().data()),
-            static_cast<std::streamsize>(payload.bytes().size()));
-        os.close();
-        if (!os) {
-            std::error_code ec;
-            fs::remove(tmp_path, ec);
-            throw StoreError("failed writing plan artifact '" +
-                             tmp_path + "'");
-        }
-    }
-#endif
     std::error_code ec;
     if (GRAPHR_FAILPOINT("store.rename.fail"))
         ec = std::make_error_code(std::errc::io_error);
@@ -903,7 +601,6 @@ PlanStore::save(const TilePlan &plan, const TilingParams &tiling) const
         throw StoreError("cannot move plan artifact into place at '" +
                          final_path + "': " + reason);
     }
-#ifdef GRAPHR_STORE_HAVE_MMAP
     // Make the publishing rename itself durable. A failure here only
     // weakens durability of an already-valid, already-visible
     // artifact, so it warns instead of throwing.
@@ -917,7 +614,6 @@ PlanStore::save(const TilePlan &plan, const TilingParams &tiling) const
     }
     if (dirfd >= 0)
         ::close(dirfd);
-#endif
     saves_.fetch_add(1, std::memory_order_relaxed);
     perf::Registry::instance().counter("store.saves").add();
     return final_path;
@@ -940,71 +636,21 @@ PlanStore::list() const
         info.file = p.filename().string();
         info.bytes = entry.file_size(ec);
 
-        FileBytes bytes;
-        if (!bytes.read(p.string())) {
-            info.issue = "unreadable";
-            out.push_back(std::move(info));
-            continue;
-        }
+        std::vector<unsigned char> bytes;
         Header h;
-        std::string issue;
-        if (decodeHeader(bytes.data(), bytes.size(), h, issue)) {
+        std::string issue = readArtifact(p.string(), bytes, h);
+        if (issue.empty()) {
             info.fingerprint = h.fingerprint;
             info.tiling = h.tiling;
             info.vertices = h.vertices;
             info.edges = h.edges;
             info.tiles = h.tiles;
             info.payloadBytes = h.payloadBytes;
-            const unsigned char *payload =
-                bytes.data() + kHeaderBytes;
-            const std::size_t payload_size =
-                bytes.size() - kHeaderBytes;
-            if (fnv1a64(payload, payload_size) != h.payloadChecksum) {
-                issue = "payload checksum mismatch";
-            } else if (payload_size < 4) {
-                issue = "payload too small for a codec tag";
-            } else {
-                std::uint32_t codec = 0;
-                std::memcpy(&codec, payload, 4);
-                const unsigned char *body = payload + 4;
-                const std::size_t body_size = payload_size - 4;
-                if (codec == kCodecRaw) {
-                    info.codec = "raw";
-                    PayloadParts parts;
-                    if (parsePayload(h, body, body_size, parts,
-                                     issue))
-                        info.valid = true;
-                } else if (codec == kCodecDelta) {
-                    info.codec = "delta";
-                    // Full decode-drain: listing promises the same
-                    // validation depth a load performs.
-                    try {
-                        const GridPartition part(
-                            static_cast<VertexId>(h.vertices),
-                            h.tiling);
-                        EdgeStreamDecoder dec(part, body, body_size);
-                        std::uint64_t edges = 0;
-                        std::uint64_t tiles = 0;
-                        TileChunkSource::Chunk chunk;
-                        while (dec.next(chunk)) {
-                            edges += chunk.edges.size();
-                            ++tiles;
-                        }
-                        if (edges != h.edges || tiles != h.tiles)
-                            issue = "stream totals disagree with "
-                                    "header";
-                        else if (h.totalNnz != h.edges)
-                            issue = "total nnz disagrees with the "
-                                    "edge count";
-                        else
-                            info.valid = true;
-                    } catch (const CodecError &e) {
-                        issue = e.what();
-                    }
-                } else {
-                    issue = "unknown payload codec tag";
-                }
-            }
+            // Full decode: listing promises the same validation depth
+            // a load performs.
+            if (codecTag(bytes) == kCodecDelta)
+                info.codec = "delta";
+            info.valid = decodePayload(bytes, h, issue) != nullptr;
         }
         info.version = h.version;
         info.issue = info.valid ? "" : issue;

@@ -26,28 +26,20 @@
  *     u64  payload checksum (FNV-1a over the payload bytes)
  *     u64  header checksum (FNV-1a over the 80 bytes above)
  *   payload (format v2):
- *     u32  codec tag — "DLT1" (compressed, the default) or "RAW0"
- *     body per codec:
- *       DLT1  the bit-packed delta-coded edge stream of
- *             store/edge_codec.hh: per-tile local-cell-ID delta
- *             streams (fixed-width low-bits plane + zero-run/varint
- *             exception stream) with per-tile weight modes. Tile
- *             spans are implicit in the stream and the per-tile
- *             metadata is recomputed on load — warm results stay
- *             byte-identical because the recomputation is the same
- *             deterministic code a fresh prepare runs.
- *       RAW0  the uncompressed layout (GRAPHR_STORE_RAW=1 saves, and
- *             the automatic fallback for streams so duplicate-heavy
- *             they would trip the codec's decode-expansion bound):
- *         edges  edge count x (u32 src, u32 dst, f64 weight) in
- *                streaming-apply order (the sorted result, byte-exact)
- *         spans  tile count x (u64 tileIndex, u64 firstEdge,
- *                u64 numEdges)
- *         meta   tile count x TileMeta record (fixed fields + rowNnz[])
+ *     u32  codec tag "DLT1"
+ *     the bit-packed delta-coded edge stream of store/edge_codec.hh:
+ *     per-tile local-cell-ID delta streams (fixed-width low-bits
+ *     plane + zero-run/varint exception stream) with per-tile weight
+ *     modes. Tile spans are implicit in the stream and the per-tile
+ *     metadata is recomputed on load — warm results stay
+ *     byte-identical because the recomputation is the same
+ *     deterministic code a fresh prepare runs.
  *
- * Format v1 (the RAW0 layout with no codec tag) is not migrated:
- * version-gated loads reject it and the caller transparently
- * re-prepares and re-saves, per the store's versioning contract.
+ * Older artifacts are not migrated: format v1 (an uncompressed layout
+ * with no codec tag) fails version gating, and a v2 payload with any
+ * other tag (the retired uncompressed "RAW0") is an unknown codec.
+ * Either way the caller transparently re-prepares and re-saves, per
+ * the store's versioning contract.
  *
  * Loads validate magic -> version -> header checksum -> fingerprint &
  * tiling -> payload size & checksum before any payload is trusted;
@@ -57,13 +49,13 @@
  * atomically rename over the final name, then fsync the directory:
  * readers only ever see complete files, and a crash at any point
  * leaves either the old artifact or the new one, never torn bytes
- * under the final name. Reads go through mmap where available, with a
- * chunked-read fallback (also selectable via GRAPHR_STORE_NO_MMAP=1);
- * transient I/O errors (EINTR/EAGAIN, short transfers) are retried
- * with bounded backoff (`store.retries`). Both paths carry
- * fault-injection sites (common/failpoint.hh, the `store.*` names)
- * so the degradation and durability contracts are exercised by
- * tests/chaos.sh rather than merely asserted here.
+ * under the final name. A load reads the whole file into one buffer
+ * sized from fstat; transient I/O errors (EINTR/EAGAIN, short
+ * transfers) are retried with bounded backoff (`store.retries`). The
+ * read and write paths carry fault-injection sites
+ * (common/failpoint.hh, the `store.*` names) so the degradation and
+ * durability contracts are exercised by tests/chaos.sh rather than
+ * merely asserted here.
  */
 
 #ifndef GRAPHR_STORE_PLAN_STORE_HH
@@ -113,7 +105,7 @@ struct PlanArtifactInfo
     std::uint64_t edges = 0;
     std::uint64_t tiles = 0;
     std::uint64_t payloadBytes = 0; ///< payload size per the header
-    std::string codec; ///< payload codec: "delta", "raw", "" unknown
+    std::string codec; ///< payload codec: "delta", or "" if unknown
 };
 
 /**

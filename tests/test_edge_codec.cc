@@ -273,6 +273,18 @@ TEST(EdgeCodec, DuplicateEdgesWithSharedWeightRoundTrip)
     expectRoundTrip(part, orderEdges(part, edges));
 }
 
+TEST(EdgeCodec, DuplicateHeavyStreamStaysDecodable)
+{
+    // 20,000 copies of one cell collapse to a single zero run, a
+    // stream past the decoder's expansion bound: the encoder must
+    // re-encode it (raw per-edge weights) so it still decodes.
+    const GridPartition part(64, smallTiling());
+    const std::vector<unsigned char> bytes = expectRoundTrip(
+        part, orderEdges(part, std::vector<Edge>(20000, Edge{0, 1, 1.0})));
+    EXPECT_LE(20000u, bytes.size() * kMaxEdgesPerStreamByte);
+    EXPECT_GE(bytes.size(), 8u * 20000);
+}
+
 TEST(EdgeCodec, NearMax32BitVertexIdsRoundTrip)
 {
     // The padded grid near 2^32 vertices exceeds 32-bit arithmetic

@@ -130,22 +130,6 @@ TEST_F(PlanStoreTest, RoundTripPreservesEveryArtifactField)
     EXPECT_EQ(store.stats().saves, 1u);
 }
 
-TEST_F(PlanStoreTest, ChunkedReadFallbackMatchesMmap)
-{
-    const std::string dir = freshDir("nommap");
-    const CooGraph g = testGraph();
-    const TilingParams tiling;
-    const TilePlan direct(g, tiling);
-    PlanStore store(dir);
-    store.save(direct, tiling);
-
-    ::setenv("GRAPHR_STORE_NO_MMAP", "1", 1);
-    const TilePlanPtr loaded = store.load(direct.fingerprint, tiling);
-    ::unsetenv("GRAPHR_STORE_NO_MMAP");
-    ASSERT_NE(loaded, nullptr);
-    expectPlansEqual(direct, *loaded);
-}
-
 TEST_F(PlanStoreTest, SaveIsAtomicNoTemporariesSurvive)
 {
     const std::string dir = freshDir("atomic");
@@ -314,41 +298,6 @@ TEST_F(PlanStoreTest, FingerprintMismatchFallsBackToFreshPrepare)
                   artifactPath(dir, direct, tiling));
 
     expectFreshPrepareFallback(dir, g, tiling, direct);
-}
-
-TEST_F(PlanStoreTest, SemanticallyInvalidArtifactIsRejected)
-{
-    // Checksums guard against corruption, not buggy writers: an
-    // artifact whose payload is internally consistent bytes but
-    // semantic nonsense (a tile origin outside the graph) must be
-    // rejected before it can reach downstream index arithmetic. Only
-    // the raw codec carries a metadata table (the delta codec
-    // recomputes it on load), so pin the save to the raw layout.
-    const std::string dir = freshDir("semantic");
-    const CooGraph g = testGraph();
-    const TilingParams tiling;
-    const TilePlan direct(g, tiling);
-
-    std::vector<Edge> edges(direct.ordered.edges().begin(),
-                            direct.ordered.edges().end());
-    std::vector<TileSpan> spans(direct.ordered.tiles().begin(),
-                                direct.ordered.tiles().end());
-    std::vector<TileMeta> meta = direct.meta.tiles();
-    meta.front().row0 += std::uint64_t{1} << 20;
-    const TilePlan bogus(g.numVertices(), tiling, std::move(edges),
-                         std::move(spans), std::move(meta),
-                         direct.meta.totalNnz(), direct.fingerprint);
-
-    PlanStore store(dir);
-    ::setenv("GRAPHR_STORE_RAW", "1", 1);
-    store.save(bogus, tiling);
-    ::unsetenv("GRAPHR_STORE_RAW");
-    EXPECT_EQ(store.load(direct.fingerprint, tiling), nullptr);
-    EXPECT_GE(store.stats().loadRejects, 1u);
-
-    // The listing flags it rather than crashing on it.
-    const std::string text = driver::storeStatsText(StoreSpec{dir});
-    EXPECT_NE(text.find("corrupt"), std::string::npos);
 }
 
 TEST_F(PlanStoreTest, TilingMismatchIsRejected)
@@ -696,31 +645,66 @@ TEST_F(PlanStoreTest, TruncatedCompressedStreamDegrades)
 
 TEST_F(PlanStoreTest, OldFormatVersionArtifactIsRepreparedAndUpgraded)
 {
-    // The PR-4 versioning contract: an artifact written under an
-    // older kFormatVersion is rejected by version gating, the caller
+    // The versioning contract: an artifact the current reader cannot
+    // use — written under an older kFormatVersion, or carrying the
+    // retired uncompressed "RAW0" codec tag — is rejected, the caller
     // re-prepares transparently, and the write-through save leaves an
-    // upgraded artifact behind.
+    // upgraded delta-coded artifact behind.
     const std::string dir = freshDir("oldversion");
     const CooGraph g = testGraph();
     const TilingParams tiling;
     const TilePlan direct(g, tiling);
     PlanStore(dir).save(direct, tiling);
     const std::string file = artifactPath(dir, direct, tiling);
+    const std::vector<unsigned char> pristine = readFileBytes(file);
 
-    std::vector<unsigned char> bytes = readFileBytes(file);
+    std::vector<unsigned char> old_version = pristine;
     const std::uint32_t v1 = 1;
-    std::memcpy(bytes.data() + 4, &v1, 4);
-    resealChecksums(bytes);
-    writeFileBytes(file, bytes);
+    std::memcpy(old_version.data() + 4, &v1, 4);
+    resealChecksums(old_version);
 
-    expectFreshPrepareFallback(dir, g, tiling, direct);
+    std::vector<unsigned char> raw_tagged = pristine;
+    std::memcpy(raw_tagged.data() + 88, "RAW0", 4);
+    resealChecksums(raw_tagged);
 
-    // expectFreshPrepareFallback's PlanCache had the store attached,
-    // so the re-prepare wrote through: the file is v2 again.
-    const std::vector<PlanArtifactInfo> infos = PlanStore(dir).list();
+    for (const std::vector<unsigned char> *old :
+         {&old_version, &raw_tagged}) {
+        writeFileBytes(file, *old);
+        expectFreshPrepareFallback(dir, g, tiling, direct);
+
+        // expectFreshPrepareFallback's PlanCache had the store
+        // attached, so the re-prepare wrote through: the file is a
+        // current delta artifact again.
+        const std::vector<PlanArtifactInfo> infos =
+            PlanStore(dir).list();
+        ASSERT_EQ(infos.size(), 1u);
+        EXPECT_TRUE(infos[0].valid) << infos[0].issue;
+        EXPECT_EQ(infos[0].version, PlanStore::kFormatVersion);
+        EXPECT_EQ(infos[0].codec, "delta");
+        EXPECT_EQ(readFileBytes(file), pristine);
+    }
+}
+
+TEST_F(PlanStoreTest, DuplicateHeavyPlanIsSavedDeltaCoded)
+{
+    // 20,000 copies of one edge compress to a stream past the
+    // decoder's expansion bound; the codec re-encodes it with raw
+    // per-edge weights, so the artifact stays delta-coded and loads.
+    const std::string dir = freshDir("duplicates");
+    const CooGraph g(64, std::vector<Edge>(20000, Edge{0, 1, 1.0}));
+    const TilingParams tiling;
+    const TilePlan direct(g, tiling);
+
+    PlanStore store(dir);
+    store.save(direct, tiling);
+    const std::vector<PlanArtifactInfo> infos = store.list();
     ASSERT_EQ(infos.size(), 1u);
     EXPECT_TRUE(infos[0].valid) << infos[0].issue;
-    EXPECT_EQ(infos[0].version, PlanStore::kFormatVersion);
+    EXPECT_EQ(infos[0].codec, "delta");
+
+    const TilePlanPtr loaded = store.load(direct.fingerprint, tiling);
+    ASSERT_NE(loaded, nullptr);
+    expectPlansEqual(direct, *loaded);
 }
 
 TEST_F(PlanStoreTest, DegradedLoadCounterTracksEveryReject)
@@ -743,7 +727,7 @@ TEST_F(PlanStoreTest, DegradedLoadCounterTracksEveryReject)
 
 TEST_F(PlanStoreTest, ReadFailpointsMidDecodeDegradeOrRecover)
 {
-    // store.read.* fire inside the buffered reader while the
+    // store.read.* fire inside the read loop while the
     // compressed artifact streams in: EINTR is transient (absorbed by
     // the retry loop, load still succeeds), a short read truncates
     // (degrade to fresh prepare).
@@ -752,7 +736,6 @@ TEST_F(PlanStoreTest, ReadFailpointsMidDecodeDegradeOrRecover)
     const TilingParams tiling;
     const TilePlan direct(g, tiling);
     PlanStore(dir).save(direct, tiling);
-    ::setenv("GRAPHR_STORE_NO_MMAP", "1", 1);
 
     failpoint::configure("store.read.eintr:1@1");
     const TilePlanPtr recovered =
@@ -782,7 +765,6 @@ TEST_F(PlanStoreTest, ReadFailpointsMidDecodeDegradeOrRecover)
     expectPlansEqual(direct, *reprepared);
 
     failpoint::disarmAll();
-    ::unsetenv("GRAPHR_STORE_NO_MMAP");
     const TilePlanPtr healthy =
         PlanStore(dir).load(direct.fingerprint, tiling);
     ASSERT_NE(healthy, nullptr);
@@ -812,69 +794,6 @@ TEST_F(PlanStoreTest, DecodeFailpointFallsBackToFreshPrepare)
         PlanStore(dir).load(direct.fingerprint, tiling);
     ASSERT_NE(loaded, nullptr);
     expectPlansEqual(direct, *loaded);
-}
-
-// --------------------------------------------- raw escape hatch
-
-TEST_F(PlanStoreTest, RawEscapeHatchWritesUncompressedArtifacts)
-{
-    const std::string raw_dir = freshDir("raw");
-    const std::string delta_dir = freshDir("delta");
-    const CooGraph g = testGraph();
-    const TilingParams tiling;
-    const TilePlan direct(g, tiling);
-
-    ::setenv("GRAPHR_STORE_RAW", "1", 1);
-    PlanStore(raw_dir).save(direct, tiling);
-    ::unsetenv("GRAPHR_STORE_RAW");
-    PlanStore(delta_dir).save(direct, tiling);
-
-    const std::vector<PlanArtifactInfo> raw_list =
-        PlanStore(raw_dir).list();
-    const std::vector<PlanArtifactInfo> delta_list =
-        PlanStore(delta_dir).list();
-    ASSERT_EQ(raw_list.size(), 1u);
-    ASSERT_EQ(delta_list.size(), 1u);
-    EXPECT_TRUE(raw_list[0].valid) << raw_list[0].issue;
-    EXPECT_TRUE(delta_list[0].valid) << delta_list[0].issue;
-    EXPECT_EQ(raw_list[0].codec, "raw");
-    EXPECT_EQ(delta_list[0].codec, "delta");
-
-    // Both decode to the same plan; the compressed one is at most
-    // half the raw bytes even at this small size.
-    const TilePlanPtr from_raw =
-        PlanStore(raw_dir).load(direct.fingerprint, tiling);
-    const TilePlanPtr from_delta =
-        PlanStore(delta_dir).load(direct.fingerprint, tiling);
-    ASSERT_NE(from_raw, nullptr);
-    ASSERT_NE(from_delta, nullptr);
-    expectPlansEqual(direct, *from_raw);
-    expectPlansEqual(direct, *from_delta);
-    EXPECT_LE(delta_list[0].bytes * 2, raw_list[0].bytes);
-}
-
-TEST_F(PlanStoreTest, RawAndCompressedWarmSweepsAreByteIdentical)
-{
-    // The whole point of recomputing metadata on decode: warm sweep
-    // reports must not depend on the artifact codec, serial or
-    // parallel.
-    for (const std::uint32_t jobs : {1u, 4u}) {
-        const std::string raw_dir =
-            freshDir("codec_raw_j" + std::to_string(jobs));
-        const std::string delta_dir =
-            freshDir("codec_delta_j" + std::to_string(jobs));
-
-        ::setenv("GRAPHR_STORE_RAW", "1", 1);
-        sweepJson(sweepSpec(raw_dir, jobs)); // cold, writes raw
-        ::unsetenv("GRAPHR_STORE_RAW");
-        sweepJson(sweepSpec(delta_dir, jobs)); // cold, writes delta
-
-        const std::string warm_raw =
-            sweepJson(sweepSpec(raw_dir, jobs));
-        const std::string warm_delta =
-            sweepJson(sweepSpec(delta_dir, jobs));
-        EXPECT_EQ(warm_raw, warm_delta) << "jobs=" << jobs;
-    }
 }
 
 // --------------------------------------------- golden artifact
