@@ -213,7 +213,7 @@ tileMeta(const perf::RepOptions &rep, EdgeId edges)
 CaseResult
 planPrepareCold(const perf::RepOptions &rep, EdgeId edges)
 {
-    // Cost of a cache miss: fingerprint + partition + O(E log E)
+    // Cost of a cache miss: fingerprint + partition + linear radix
     // sort + tile-meta extraction.
     const CooGraph g = makeRmat({.numVertices =
                                      static_cast<VertexId>(edges / 8),
@@ -257,7 +257,7 @@ planStoreColdVsWarm(const perf::RepOptions &rep, EdgeId edges,
                     bool warm)
 {
     // The cold-start win of the on-disk preprocessing store: cold
-    // pays fingerprint + partition + O(E log E) sort + meta
+    // pays fingerprint + partition + radix sort + meta
     // extraction (what a storeless process pays); warm is a validated
     // artifact load through the store's whole-file read — no sort.
     const CooGraph g = makeRmat({.numVertices =
@@ -367,7 +367,7 @@ serveRequest(const perf::RepOptions &rep, bool warm)
 {
     // Per-request latency of the serving daemon: cold drops the
     // caches before each request, so the daemon re-pays dataset
-    // resolution and the O(E log E) sort (what a one-shot graphr_run
+    // resolution and the preprocessing sort (what a one-shot graphr_run
     // process pays); warm is answered by the process-resident
     // PlanCache — the paper's online-phase steady state.
     service::Server server(service::ServeOptions{});
@@ -435,7 +435,8 @@ allCases()
                            EdgeId(1000000)})
         add("preprocess_sort/" + std::to_string(e),
             [e](const RepOptions &r) { return preprocessSort(r, e); });
-    for (const EdgeId e : {EdgeId(10000), EdgeId(100000)})
+    for (const EdgeId e : {EdgeId(10000), EdgeId(100000),
+                           EdgeId(1000000)})
         add("tile_meta/" + std::to_string(e),
             [e](const RepOptions &r) { return tileMeta(r, e); });
     for (const EdgeId e : {EdgeId(10000), EdgeId(100000),

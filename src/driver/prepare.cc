@@ -22,8 +22,8 @@ namespace
 
 /**
  * Prepare one graph variant directly against the store: a valid
- * artifact is reused, otherwise the plan is built (the O(E log E)
- * sort) and persisted. Deliberately bypasses the in-memory PlanCache
+ * artifact is reused, otherwise the plan is built (the radix sort)
+ * and persisted. Deliberately bypasses the in-memory PlanCache
  * so `prepare` always leaves a durable artifact behind, even when
  * this process has the plan memoised already.
  */

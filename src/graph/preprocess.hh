@@ -70,7 +70,12 @@ class OrderedEdgeList
   public:
     /**
      * Preprocess a graph: compute I(i, j) for every edge, sort, and
-     * build the non-empty tile directory. O(E log E).
+     * build the non-empty tile directory. The sort is a stable LSD
+     * radix sort on I(i, j) with 16-bit digits, so it is O(E) per
+     * pass, with two passes whenever the padded grid has at most
+     * 2^32 cells. Edges with equal I(i, j) (parallel edges of one
+     * cell) keep their input order, so the ordered list — and every
+     * artifact encoded from it — is a pure function of the input.
      */
     OrderedEdgeList(const CooGraph &graph, const GridPartition &partition);
 
@@ -120,9 +125,10 @@ class OrderedEdgeList
     std::vector<TileSpan> tilesOfBlock(std::uint64_t block_index) const;
 
     /**
-     * Process-wide count of O(E log E) preprocessing sorts executed
-     * (the adopting constructor does not count). Lets tests assert a
-     * warm plan store makes a run sort-free.
+     * Process-wide count of preprocessing sorts executed, one per
+     * sorting constructor (the adopting and draining constructors do
+     * not count). Lets tests assert a warm plan store makes a run
+     * sort-free.
      */
     static std::uint64_t sortsPerformed();
 

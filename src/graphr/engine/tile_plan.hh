@@ -4,11 +4,11 @@
  *
  * GraphR preprocesses a graph once (offline, in software — paper
  * section 3.4): grid-partition the adjacency matrix, sort the COO
- * edge list into streaming-apply tile order (O(E log E)) and extract
- * the per-tile activity metadata the cost model consumes. Every
- * execution layer — single node, multi-node stripes, out-of-core
- * blocks, driver sweeps — walks the same three products, so they are
- * bundled here as one shareable, immutable plan. PlanCache
+ * edge list into streaming-apply tile order (a linear radix sort) and
+ * extract the per-tile activity metadata the cost model consumes.
+ * Every execution layer — single node, multi-node stripes,
+ * out-of-core blocks, driver sweeps — walks the same three products,
+ * so they are bundled here as one shareable, immutable plan. PlanCache
  * (plan_cache.hh) memoises plans per (graph fingerprint, tiling) so
  * repeated runs stop redoing the sort.
  */
