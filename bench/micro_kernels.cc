@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "algorithms/pagerank.hh"
 #include "common/random.hh"
 #include "common/table.hh"
 #include "driver/dataset.hh"
@@ -185,6 +186,37 @@ preprocessSort(const perf::RepOptions &rep, EdgeId edges)
     result.stats = timeLoop(rep, 1, [&] {
         OrderedEdgeList ordered(g, part);
         perf::doNotOptimize(ordered.numNonEmptyTiles());
+    });
+    result.itemsPerIter = edges;
+    return result;
+}
+
+CaseResult
+rmatGenerate(const perf::RepOptions &rep, EdgeId edges)
+{
+    const RmatParams params{.numVertices = static_cast<VertexId>(edges / 8),
+                            .numEdges = edges,
+                            .seed = 2};
+    CaseResult result;
+    result.stats = timeLoop(rep, 1, [&] {
+        perf::doNotOptimize(makeRmat(params).numEdges());
+    });
+    result.itemsPerIter = edges;
+    return result;
+}
+
+CaseResult
+goldenPagerank(const perf::RepOptions &rep, EdgeId edges)
+{
+    // The default parameters every PageRank request runs with; the
+    // graph's memoised out-degrees are built by the untimed warmups.
+    const CooGraph g = makeRmat({.numVertices =
+                                     static_cast<VertexId>(edges / 8),
+                                 .numEdges = edges,
+                                 .seed = 2});
+    CaseResult result;
+    result.stats = timeLoop(rep, 1, [&] {
+        perf::doNotOptimize(pagerank(g, PageRankParams{}).iterations);
     });
     result.itemsPerIter = edges;
     return result;
@@ -435,6 +467,12 @@ allCases()
                            EdgeId(1000000)})
         add("preprocess_sort/" + std::to_string(e),
             [e](const RepOptions &r) { return preprocessSort(r, e); });
+    add("rmat_generate/1000000", [](const RepOptions &r) {
+        return rmatGenerate(r, 1000000);
+    });
+    add("golden_pagerank/1000000", [](const RepOptions &r) {
+        return goldenPagerank(r, 1000000);
+    });
     for (const EdgeId e : {EdgeId(10000), EdgeId(100000),
                            EdgeId(1000000)})
         add("tile_meta/" + std::to_string(e),

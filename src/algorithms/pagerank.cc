@@ -17,21 +17,26 @@ pagerankIteration(const CooGraph &graph, const std::vector<Value> &ranks,
 
     // Dangling vertices donate their mass uniformly so the vector
     // stays stochastic (standard PageRank fix; the paper's Fig. 13
-    // elides it).
+    // elides it). Every other vertex sends the same contribution along
+    // each of its out-edges, so it is computed once per vertex; the
+    // edge loop then adds exactly the doubles a per-edge
+    // damping * rank / degree would, in the same order.
     double dangling = 0.0;
+    std::vector<Value> contrib(nv, 0.0);
     for (VertexId v = 0; v < nv; ++v) {
         if (out_degrees[v] == 0)
             dangling += ranks[v];
+        else
+            contrib[v] = damping * ranks[v] /
+                         static_cast<double>(out_degrees[v]);
     }
     const double dangling_share =
         damping * dangling / static_cast<double>(nv);
     for (VertexId v = 0; v < nv; ++v)
         next[v] += dangling_share;
 
-    for (const Edge &e : graph.edges()) {
-        next[e.dst] += damping * ranks[e.src] /
-                       static_cast<double>(out_degrees[e.src]);
-    }
+    for (const Edge &e : graph.edges())
+        next[e.dst] += contrib[e.src];
     return next;
 }
 
@@ -40,7 +45,7 @@ pagerank(const CooGraph &graph, const PageRankParams &params)
 {
     GRAPHR_ASSERT(graph.numVertices() > 0, "empty graph");
     const VertexId nv = graph.numVertices();
-    const std::vector<EdgeId> out_degrees = graph.outDegrees();
+    const std::vector<EdgeId> &out_degrees = graph.outDegrees();
 
     PageRankResult result;
     result.ranks.assign(nv, 1.0 / static_cast<double>(nv));

@@ -11,7 +11,7 @@ spmv(const CooGraph &graph, const std::vector<Value> &x)
     GRAPHR_ASSERT(x.size() == graph.numVertices(),
                   "vector length ", x.size(), " != |V| ",
                   graph.numVertices());
-    const std::vector<EdgeId> out_deg = graph.outDegrees();
+    const std::vector<EdgeId> &out_deg = graph.outDegrees();
     std::vector<Value> y(graph.numVertices(), 0.0);
     for (const Edge &e : graph.edges()) {
         if (out_deg[e.src] == 0)

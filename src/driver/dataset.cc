@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
+#include <cmath>
 
 #include "common/lru_cache.hh"
 #include "graph/datasets.hh"
@@ -66,6 +67,51 @@ maxSrcPlusOne(const CooGraph &graph)
     return users;
 }
 
+/**
+ * Generator parameters are checked here, before anything is made, so
+ * a bad spec is a DriverError (a structured error for a serve client)
+ * rather than a generator assertion that aborts the process.
+ */
+void
+requireAtLeast(const std::string &kind, const std::string &key,
+               std::uint64_t value, std::uint64_t min)
+{
+    if (value < min) {
+        throw DriverError("dataset spec '" + kind + "': " + key +
+                          " must be >= " + std::to_string(min) +
+                          " (got " + std::to_string(value) + ")");
+    }
+}
+
+void
+requireFinite(const std::string &kind, const std::string &key,
+              double value)
+{
+    if (!std::isfinite(value)) {
+        throw DriverError("dataset spec '" + kind + "': " + key +
+                          " must be finite");
+    }
+}
+
+void
+validateRmat(const RmatParams &p)
+{
+    requireAtLeast("rmat", "vertices", p.numVertices, 2);
+    for (const auto &[key, value] :
+         {std::pair{"a", p.a}, {"b", p.b}, {"c", p.c}, {"d", p.d}}) {
+        if (!std::isfinite(value) || value < 0.0) {
+            throw DriverError(std::string("dataset spec 'rmat': ") + key +
+                              " must be finite and >= 0");
+        }
+    }
+    const double sum = p.a + p.b + p.c + p.d;
+    if (!(std::abs(sum - 1.0) < 1e-6)) {
+        throw DriverError("dataset spec 'rmat': a+b+c+d must be 1 (got " +
+                          std::to_string(sum) + ")");
+    }
+    requireFinite("rmat", "maxweight", p.maxWeight);
+}
+
 ResolvedDataset
 resolveGenerator(const std::string &kind, const ParamMap &params,
                  std::uint64_t seed)
@@ -83,6 +129,7 @@ resolveGenerator(const std::string &kind, const ParamMap &params,
         p.maxWeight = params.getDouble("maxweight", p.maxWeight);
         p.seed = params.getU64("seed", seed);
         params.rejectUnread("dataset spec 'rmat'");
+        validateRmat(p);
         out.graph = makeRmat(p);
     } else if (kind == "er") {
         const VertexId v =
@@ -91,6 +138,8 @@ resolveGenerator(const std::string &kind, const ParamMap &params,
         const double w = params.getDouble("maxweight", 1.0);
         const std::uint64_t s = params.getU64("seed", seed);
         params.rejectUnread("dataset spec 'er'");
+        requireAtLeast(kind, "vertices", v, 2);
+        requireFinite(kind, "maxweight", w);
         out.graph = makeErdosRenyi(v, e, s, w);
     } else if (kind == "grid") {
         const VertexId width =
@@ -100,18 +149,24 @@ resolveGenerator(const std::string &kind, const ParamMap &params,
         const double w = params.getDouble("maxweight", 10.0);
         const std::uint64_t s = params.getU64("seed", seed);
         params.rejectUnread("dataset spec 'grid'");
+        requireAtLeast(kind, "width", width, 1);
+        requireAtLeast(kind, "height", height, 1);
+        requireFinite(kind, "maxweight", w);
         out.graph = makeGrid2d(width, height, s, w);
     } else if (kind == "chain") {
         const VertexId n = params.getU32("n", 16);
         params.rejectUnread("dataset spec 'chain'");
+        requireAtLeast(kind, "n", n, 1);
         out.graph = makeChain(n);
     } else if (kind == "star") {
         const VertexId n = params.getU32("n", 16);
         params.rejectUnread("dataset spec 'star'");
+        requireAtLeast(kind, "n", n, 2);
         out.graph = makeStar(n);
     } else if (kind == "complete") {
         const VertexId n = params.getU32("n", 8);
         params.rejectUnread("dataset spec 'complete'");
+        requireAtLeast(kind, "n", n, 2);
         out.graph = makeComplete(n);
     } else if (kind == "bipartite") {
         const VertexId users =
@@ -121,6 +176,8 @@ resolveGenerator(const std::string &kind, const ParamMap &params,
         const EdgeId ratings = params.getU64("ratings", 512);
         const std::uint64_t s = params.getU64("seed", seed);
         params.rejectUnread("dataset spec 'bipartite'");
+        requireAtLeast(kind, "users", users, 1);
+        requireAtLeast(kind, "items", items, 1);
         out.graph = makeBipartiteRatings(users, items, ratings, s);
         out.bipartite = true;
         out.numUsers = users;

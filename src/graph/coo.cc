@@ -23,6 +23,10 @@ struct CooGraph::Memo
     std::once_flag fingerprintOnce;
     std::uint64_t fingerprint = 0;
 
+    std::once_flag degreesOnce;
+    std::vector<EdgeId> outDegrees;
+    std::atomic<std::size_t> degreesBytes{0};
+
     std::once_flag csrOnce;
     std::unique_ptr<const CsrGraph> outCsr;
     std::atomic<std::size_t> csrBytes{0};
@@ -143,13 +147,17 @@ CooGraph::removeSelfLoops()
     edges_.erase(last, edges_.end());
 }
 
-std::vector<EdgeId>
+const std::vector<EdgeId> &
 CooGraph::outDegrees() const
 {
-    std::vector<EdgeId> deg(numVertices_, 0);
-    for (const Edge &e : edges_)
-        ++deg[e.src];
-    return deg;
+    Memo &m = memo();
+    std::call_once(m.degreesOnce, [this, &m] {
+        m.outDegrees.assign(numVertices_, 0);
+        for (const Edge &e : edges_)
+            ++m.outDegrees[e.src];
+        m.degreesBytes = m.outDegrees.capacity() * sizeof(EdgeId);
+    });
+    return m.outDegrees;
 }
 
 std::vector<EdgeId>
@@ -200,7 +208,7 @@ CooGraph::footprintBytes() const
 {
     std::size_t bytes = edges_.capacity() * sizeof(Edge);
     if (const Memo *m = memo_.load()) {
-        bytes += m->csrBytes;
+        bytes += m->degreesBytes + m->csrBytes;
         if (const CooGraph *sym = m->sym)
             bytes += sym->footprintBytes();
     }

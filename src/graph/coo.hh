@@ -25,12 +25,13 @@ class CsrGraph;
  * GraphR keeps in memory ReRAM and on disk (paper Fig. 4/5). Vertices
  * are implicit in [0, numVertices).
  *
- * Derived state every layer asks for — the fingerprint, the out-CSR
- * and the symmetrised twin — is memoised: each is computed at most
- * once per graph, on first use, and is safe to request from several
- * threads at once. Every mutator drops the memo, and the edge list is
- * only writable through editEdges(), so the memo cannot go stale.
- * A copy starts with an empty memo; a move carries it along.
+ * Derived state every layer asks for — the fingerprint, the
+ * out-degrees, the out-CSR and the symmetrised twin — is memoised:
+ * each is computed at most once per graph, on first use, and is safe
+ * to request from several threads at once. Every mutator drops the
+ * memo, and the edge list is only writable through editEdges(), so the
+ * memo cannot go stale. A copy starts with an empty memo; a move
+ * carries it along.
  */
 class CooGraph
 {
@@ -75,8 +76,8 @@ class CooGraph
     /** Remove self loops (src == dst). */
     void removeSelfLoops();
 
-    /** Out-degree of every vertex. */
-    std::vector<EdgeId> outDegrees() const;
+    /** Out-degree of every vertex, memoised. */
+    const std::vector<EdgeId> &outDegrees() const;
 
     /** In-degree of every vertex. */
     std::vector<EdgeId> inDegrees() const;

@@ -28,10 +28,28 @@ makeRmat(const RmatParams &params)
     const double sum = params.a + params.b + params.c + params.d;
     GRAPHR_ASSERT(std::abs(sum - 1.0) < 1e-6,
                   "R-MAT probabilities sum to ", sum);
+    GRAPHR_ASSERT(params.a >= 0 && params.b >= 0 && params.c >= 0 &&
+                      params.d >= 0,
+                  "R-MAT probabilities must be >= 0");
 
     const VertexId padded = ceilPow2(params.numVertices);
     const int levels = std::countr_zero(padded);
     Rng rng(params.seed);
+
+    // Rng::uniform() is x * 2^-53 for the integer x = next() >> 11,
+    // and for an integer x, x * 2^-53 < t holds exactly when
+    // x < ceil(t * 2^53). So comparing x against these thresholds
+    // takes the same quadrant as comparing uniform() against a,
+    // a+b and a+b+c, and every draw, rejection and weight is
+    // unchanged. The thresholds are non-decreasing, so the quadrant is
+    // the count of thresholds <= x: bit 0 picks the column half, bit 1
+    // the row half.
+    const auto threshold = [](double t) {
+        return static_cast<std::uint64_t>(std::ceil(std::ldexp(t, 53)));
+    };
+    const std::uint64_t t_a = threshold(params.a);
+    const std::uint64_t t_ab = threshold(params.a + params.b);
+    const std::uint64_t t_abc = threshold(params.a + params.b + params.c);
 
     std::vector<Edge> edges;
     edges.reserve(params.numEdges);
@@ -39,20 +57,12 @@ makeRmat(const RmatParams &params)
         VertexId row = 0;
         VertexId col = 0;
         for (int level = 0; level < levels; ++level) {
-            // Per-level probability noise keeps the generated graph from
-            // collapsing onto exact quadrant boundaries.
-            const double r = rng.uniform();
-            const VertexId bit = VertexId{1} << (levels - 1 - level);
-            if (r < params.a) {
-                // top-left: nothing to add
-            } else if (r < params.a + params.b) {
-                col |= bit;
-            } else if (r < params.a + params.b + params.c) {
-                row |= bit;
-            } else {
-                row |= bit;
-                col |= bit;
-            }
+            const std::uint64_t x = rng.next() >> 11;
+            const VertexId quadrant = VertexId{x >= t_a} +
+                                      VertexId{x >= t_ab} +
+                                      VertexId{x >= t_abc};
+            row = (row << 1) | (quadrant >> 1);
+            col = (col << 1) | (quadrant & 1);
         }
         if (row >= params.numVertices || col >= params.numVertices)
             continue;

@@ -50,21 +50,7 @@ GridPartition::GridPartition(VertexId num_vertices,
 std::uint64_t
 GridPartition::tileIndex(VertexId i, VertexId j) const
 {
-    GRAPHR_ASSERT(i < paddedVertices_ && j < paddedVertices_,
-                  "cell (", i, ",", j, ") outside padded grid ",
-                  paddedVertices_);
-    // Eq. 1: block coordinates.
-    const std::uint64_t block_row = i / blockSize_;
-    const std::uint64_t block_col = j / blockSize_;
-    const std::uint64_t bi = blockIndex(block_row, block_col);
-    // Eq. 4: offsets within the block.
-    const std::uint64_t i_in_block = i - block_row * blockSize_;
-    const std::uint64_t j_in_block = j - block_col * blockSize_;
-    // Eq. 5: tile coordinates within the block.
-    const std::uint64_t tile_row = i_in_block / params_.crossbarDim;
-    const std::uint64_t tile_col = j_in_block / tileWidth_;
-    // Eq. 6 (0-based): column-major within the block, blocks first.
-    return bi * tilesPerBlock() + tile_row + tile_col * tileRowsPerBlock_;
+    return globalOrderId(i, j) / tileCapacity_;
 }
 
 TileCoord
@@ -94,18 +80,26 @@ GridPartition::tileOrigin(const TileCoord &coord, std::uint64_t &row0,
 std::uint64_t
 GridPartition::globalOrderId(VertexId i, VertexId j) const
 {
-    const std::uint64_t si = tileIndex(i, j);
-    const TileCoord coord = tileCoord(si);
-    std::uint64_t row0 = 0;
-    std::uint64_t col0 = 0;
-    tileOrigin(coord, row0, col0);
-    // Eq. 7: offsets within the tile.
-    const std::uint64_t sub_i = i - row0;
-    const std::uint64_t sub_j = j - col0;
-    // Eq. 8 (0-based): column-major within the tile.
-    const std::uint64_t sub = sub_i + sub_j * params_.crossbarDim;
-    // Eq. 9 (0-based).
-    return si * tileCapacity_ + sub;
+    GRAPHR_ASSERT(i < paddedVertices_ && j < paddedVertices_,
+                  "cell (", i, ",", j, ") outside padded grid ",
+                  paddedVertices_);
+    // Eq. 1: block coordinates; Eq. 4: offsets within the block.
+    const std::uint64_t block_row = i / blockSize_;
+    const std::uint64_t block_col = j / blockSize_;
+    const std::uint64_t i_in_block = i - block_row * blockSize_;
+    const std::uint64_t j_in_block = j - block_col * blockSize_;
+    // Eq. 5: tile coordinates within the block; Eq. 7: offsets within
+    // the tile, taken from the in-block offsets.
+    const std::uint64_t tile_row = i_in_block / params_.crossbarDim;
+    const std::uint64_t tile_col = j_in_block / tileWidth_;
+    const std::uint64_t sub_i = i_in_block - tile_row * params_.crossbarDim;
+    const std::uint64_t sub_j = j_in_block - tile_col * tileWidth_;
+    // Eq. 6 (0-based): column-major within the block, blocks first.
+    const std::uint64_t si =
+        blockIndex(block_row, block_col) * tilesPerBlock() + tile_row +
+        tile_col * tileRowsPerBlock_;
+    // Eqs. 8 and 9 (0-based): column-major within the tile.
+    return si * tileCapacity_ + sub_i + sub_j * params_.crossbarDim;
 }
 
 void

@@ -54,8 +54,6 @@ GraphRNode::runPageRank(const CooGraph &graph,
 
     std::uint64_t iterations = 0;
     std::vector<Value> ranks;
-    // Function scope: referenced by spec.edgeScale below.
-    std::vector<EdgeId> out_deg;
 
     if (config_.functional) {
         // Execute through the modelled analog datapath. The
@@ -63,7 +61,7 @@ GraphRNode::runPageRank(const CooGraph &graph,
         // factor — constant across iterations, so resident tiles
         // (ProgramCharging::kOnce) are programmed once per run.
         const VertexId nv = graph.numVertices();
-        out_deg = graph.outDegrees();
+        const std::vector<EdgeId> &out_deg = graph.outDegrees();
         spec.edgeScale = [damping = params.damping,
                           &out_deg](const Edge &e) {
             return damping / static_cast<double>(out_deg[e.src]);
@@ -121,7 +119,7 @@ GraphRNode::runSpmv(const CooGraph &graph, const std::vector<Value> &x,
 
     std::vector<Value> y;
     if (config_.functional) {
-        spec.edgeScale = [out_deg = graph.outDegrees()](const Edge &e) {
+        spec.edgeScale = [&out_deg = graph.outDegrees()](const Edge &e) {
             return e.weight / static_cast<double>(out_deg[e.src]);
         };
         y.assign(graph.numVertices(), 0.0);

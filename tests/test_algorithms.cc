@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "algorithms/collaborative_filtering.hh"
 #include "algorithms/pagerank.hh"
 #include "algorithms/spmv.hh"
 #include "algorithms/traversal.hh"
+#include "common/random.hh"
 #include "graph/generator.hh"
 
 namespace graphr
@@ -70,6 +72,102 @@ TEST(PageRankTest, DanglingMassRedistributed)
     const PageRankResult res = pagerank(g, {.maxIterations = 100});
     EXPECT_NEAR(res.ranks[0] + res.ranks[1], 1.0, 1e-9);
     EXPECT_GT(res.ranks[1], res.ranks[0]);
+}
+
+/**
+ * PageRank as first written: the contribution of every edge is
+ * divided out on the edge itself. pagerank() must match it bit for
+ * bit.
+ */
+PageRankResult
+perEdgeDivisionPagerank(const CooGraph &graph,
+                        const PageRankParams &params)
+{
+    const VertexId nv = graph.numVertices();
+    std::vector<EdgeId> deg(nv, 0);
+    for (const Edge &e : graph.edges())
+        ++deg[e.src];
+    PageRankResult result;
+    result.ranks.assign(nv, 1.0 / static_cast<double>(nv));
+    for (int iter = 0; iter < params.maxIterations; ++iter) {
+        std::vector<Value> next(nv, (1.0 - params.damping) /
+                                        static_cast<double>(nv));
+        double dangling = 0.0;
+        for (VertexId v = 0; v < nv; ++v) {
+            if (deg[v] == 0)
+                dangling += result.ranks[v];
+        }
+        const double share =
+            params.damping * dangling / static_cast<double>(nv);
+        for (VertexId v = 0; v < nv; ++v)
+            next[v] += share;
+        for (const Edge &e : graph.edges()) {
+            next[e.dst] += params.damping * result.ranks[e.src] /
+                           static_cast<double>(deg[e.src]);
+        }
+        double delta = 0.0;
+        for (VertexId v = 0; v < nv; ++v)
+            delta += std::abs(next[v] - result.ranks[v]);
+        result.ranks = std::move(next);
+        result.iterations = iter + 1;
+        if (params.tolerance > 0.0 && delta < params.tolerance) {
+            result.converged = true;
+            break;
+        }
+    }
+    return result;
+}
+
+/** Seeded multigraph with self loops, duplicates and dangling tails. */
+CooGraph
+messyGraph(std::uint64_t seed)
+{
+    Rng rng(seed);
+    const VertexId nv = 50 + static_cast<VertexId>(rng.below(150));
+    CooGraph g(nv, {});
+    // The top quarter of the vertices never sources an edge.
+    const VertexId sources = nv - nv / 4;
+    const EdgeId ne = 4 * nv;
+    for (EdgeId i = 0; i < ne; ++i) {
+        const auto src = static_cast<VertexId>(rng.below(sources));
+        const auto dst = rng.bernoulli(0.1)
+                             ? src
+                             : static_cast<VertexId>(rng.below(nv));
+        g.addEdge(src, dst);
+        if (rng.bernoulli(0.1))
+            g.addEdge(src, dst); // duplicate edge
+    }
+    return g;
+}
+
+TEST(PageRankTest, MatchesPerEdgeDivisionBitForBit)
+{
+    std::vector<CooGraph> graphs;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed)
+        graphs.push_back(messyGraph(seed));
+    graphs.push_back(makeRmat({.numVertices = 1000,
+                               .numEdges = 6000,
+                               .seed = 11,
+                               .removeSelfLoops = false}));
+    graphs.push_back(makeStar(17));
+    for (const CooGraph &g : graphs) {
+        for (const PageRankParams params :
+             {PageRankParams{}, PageRankParams{.damping = 0.85,
+                                               .maxIterations = 40,
+                                               .tolerance = 0.0}}) {
+            const PageRankResult got = pagerank(g, params);
+            const PageRankResult want = perEdgeDivisionPagerank(g, params);
+            EXPECT_EQ(got.iterations, want.iterations);
+            EXPECT_EQ(got.converged, want.converged);
+            ASSERT_EQ(got.ranks.size(), want.ranks.size());
+            for (std::size_t v = 0; v < got.ranks.size(); ++v) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(got.ranks[v]),
+                          std::bit_cast<std::uint64_t>(want.ranks[v]))
+                    << "vertex " << v << " of a " << g.numVertices()
+                    << "-vertex graph";
+            }
+        }
+    }
 }
 
 TEST(BfsTest, ChainLevels)

@@ -172,6 +172,10 @@ TEST(GraphMemoTest, DerivedStateMatchesTheUncachedBuilds)
                       fresh.neighbors(v)[i].neighbor);
         }
     }
+    const std::vector<EdgeId> &degrees = g.outDegrees();
+    EXPECT_EQ(&g.outDegrees(), &degrees);
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        EXPECT_EQ(degrees[v], fresh.degree(v));
     const CooGraph sym = symmetrize(g);
     EXPECT_EQ(&g.symmetrized(), &g.symmetrized());
     EXPECT_EQ(graphFingerprint(g.symmetrized()), graphFingerprint(sym));
@@ -180,9 +184,12 @@ TEST(GraphMemoTest, DerivedStateMatchesTheUncachedBuilds)
     const CooGraph h =
         makeRmat({.numVertices = 64, .numEdges = 256, .seed = 4});
     const std::size_t bare = h.footprintBytes();
+    h.outDegrees();
+    const std::size_t with_degrees = h.footprintBytes();
+    EXPECT_EQ(with_degrees, bare + 64 * sizeof(EdgeId));
     h.outCsr();
     const std::size_t with_csr = h.footprintBytes();
-    EXPECT_GT(with_csr, bare);
+    EXPECT_GT(with_csr, with_degrees);
     h.symmetrized();
     EXPECT_GT(h.footprintBytes(), with_csr);
 }

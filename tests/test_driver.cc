@@ -260,6 +260,53 @@ TEST(DatasetResolverTest, UnknownSpecKeyThrows)
     EXPECT_THROW(resolveDataset("rmat:vertices"), DriverError);
 }
 
+TEST(DatasetResolverTest, InvalidGeneratorParamsThrowBeforeGenerating)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"rmat:vertices=1,edges=4", "vertices must be >= 2"},
+        {"rmat:vertices=0", "vertices must be >= 2"},
+        {"rmat:vertices=64,a=nan", "a must be finite and >= 0"},
+        {"rmat:vertices=64,b=inf", "b must be finite and >= 0"},
+        {"rmat:vertices=64,a=-0.5,b=1.24", "a must be finite and >= 0"},
+        {"rmat:vertices=64,d=0.5", "a+b+c+d must be 1"},
+        {"rmat:vertices=64,maxweight=nan", "maxweight must be finite"},
+        {"er:vertices=1", "vertices must be >= 2"},
+        {"er:maxweight=inf", "maxweight must be finite"},
+        {"grid:width=0", "width must be >= 1"},
+        {"grid:height=0", "height must be >= 1"},
+        {"grid:maxweight=-inf", "maxweight must be finite"},
+        {"chain:n=0", "n must be >= 1"},
+        {"star:n=1", "n must be >= 2"},
+        {"complete:n=1", "n must be >= 2"},
+        {"bipartite:users=0", "users must be >= 1"},
+        {"bipartite:items=0", "items must be >= 1"},
+    };
+    for (const auto &[spec, want] : cases) {
+        try {
+            resolveDataset(spec);
+            ADD_FAILURE() << spec << " was accepted";
+        } catch (const DriverError &err) {
+            EXPECT_NE(std::string(err.what()).find(want), std::string::npos)
+                << spec << ": " << err.what();
+        }
+    }
+    // The smallest valid value of each is accepted.
+    EXPECT_EQ(resolveDataset("rmat:vertices=2,edges=4").graph.numVertices(),
+              2u);
+    EXPECT_EQ(resolveDataset("rmat:vertices=64,edges=64,d=0,c=0.24")
+                  .graph.numEdges(),
+              64u);
+    EXPECT_EQ(resolveDataset("er:vertices=2,edges=4").graph.numEdges(), 4u);
+    EXPECT_EQ(resolveDataset("chain:n=1").graph.numEdges(), 0u);
+    EXPECT_EQ(resolveDataset("star:n=2").graph.numEdges(), 1u);
+    EXPECT_EQ(resolveDataset("complete:n=2").graph.numEdges(), 2u);
+    EXPECT_EQ(resolveDataset("grid:width=1,height=1").graph.numEdges(),
+              0u);
+    EXPECT_EQ(resolveDataset("bipartite:users=1,items=1,ratings=3")
+                  .graph.numEdges(),
+              3u);
+}
+
 TEST(DatasetResolverTest, FileRoundTrip)
 {
     const std::string path =

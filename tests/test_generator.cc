@@ -73,6 +73,61 @@ TEST(RmatTest, WeightsWithinRange)
     }
 }
 
+/**
+ * Pinned graphFingerprint values of makeRmat. Any change to how the
+ * generator draws (thresholds, rejections, weights, bit order) shows
+ * up here. The cases cover power-of-two and other vertex counts,
+ * integer weights, dyadic probabilities (a draw can land exactly on a
+ * quadrant threshold), d = 0, kept self loops and dedupe.
+ */
+TEST(RmatTest, FingerprintsArePinned)
+{
+    struct Case
+    {
+        const char *name;
+        RmatParams params;
+        EdgeId edges;
+        std::uint64_t fingerprint;
+    };
+    const Case cases[] = {
+        {"pow2",
+         {.numVertices = 1024, .numEdges = 8192, .seed = 1},
+         8192, 0xb4d30628dd9f9865ull},
+        {"nonpow2",
+         {.numVertices = 1000, .numEdges = 5000, .seed = 2},
+         5000, 0x420a5d428b747527ull},
+        {"weighted",
+         {.numVertices = 777, .numEdges = 4096, .maxWeight = 15.0,
+          .seed = 3},
+         4096, 0x89958dd83c199edfull},
+        {"dyadic",
+         {.numVertices = 512, .numEdges = 4096, .a = 0.5, .b = 0.25,
+          .c = 0.125, .d = 0.125, .seed = 4},
+         4096, 0xa55d0d555e033628ull},
+        {"d0",
+         {.numVertices = 300, .numEdges = 2048, .a = 0.6, .b = 0.2,
+          .c = 0.2, .d = 0.0, .seed = 5},
+         2048, 0xda75e3bd00514053ull},
+        {"selfloops",
+         {.numVertices = 64, .numEdges = 2048, .seed = 6,
+          .removeSelfLoops = false},
+         2048, 0x5de17f4aeb982816ull},
+        {"dedupe",
+         {.numVertices = 100, .numEdges = 3000, .maxWeight = 4.0,
+          .seed = 7, .dedupe = true},
+         1469, 0xf8553f7a734a6bb6ull},
+        {"two-vertices",
+         {.numVertices = 2, .numEdges = 64, .a = 0.25, .b = 0.25,
+          .c = 0.25, .d = 0.25, .seed = 8, .removeSelfLoops = false},
+         64, 0xf8d51d7a043750e7ull},
+    };
+    for (const Case &c : cases) {
+        const CooGraph g = makeRmat(c.params);
+        EXPECT_EQ(g.numEdges(), c.edges) << c.name;
+        EXPECT_EQ(graphFingerprint(g), c.fingerprint) << c.name;
+    }
+}
+
 TEST(ErdosRenyiTest, CountsAndNoSelfLoops)
 {
     const CooGraph g = makeErdosRenyi(500, 2000, 3);

@@ -157,6 +157,39 @@ TEST_P(PartitionPropertyTest, OrderIdGroupsTilesContiguously)
     }
 }
 
+/**
+ * globalOrderId against the paper's equations taken step by step: the
+ * tile index from Eqs. 1, 4, 5 and 6, then tileCoord and tileOrigin
+ * for the tile's first cell, then Eqs. 7 to 9.
+ */
+TEST_P(PartitionPropertyTest, OrderIdMatchesTileCoordOriginFormula)
+{
+    const auto [c, n, g, b, v] = GetParam();
+    const GridPartition part(v, tiling(c, n, g, b));
+    const std::uint64_t pv = part.paddedVertices();
+    ASSERT_LE(pv * pv, 1u << 20);
+
+    const std::uint64_t bs = part.blockSize();
+    for (std::uint64_t i = 0; i < pv; ++i) {
+        for (std::uint64_t j = 0; j < pv; ++j) {
+            const std::uint64_t tile =
+                part.blockIndex(i / bs, j / bs) * part.tilesPerBlock() +
+                (i % bs) / c +
+                (j % bs) / part.tileWidth() * part.tileRowsPerBlock();
+            std::uint64_t row0 = 0;
+            std::uint64_t col0 = 0;
+            part.tileOrigin(part.tileCoord(tile), row0, col0);
+            const std::uint64_t want = tile * part.tileCapacity() +
+                                       (i - row0) + (j - col0) * c;
+            const auto vi = static_cast<VertexId>(i);
+            const auto vj = static_cast<VertexId>(j);
+            ASSERT_EQ(part.globalOrderId(vi, vj), want)
+                << "cell (" << i << "," << j << ")";
+            ASSERT_EQ(part.tileIndex(vi, vj), tile);
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PartitionPropertyTest,
     ::testing::Values(

@@ -386,6 +386,37 @@ TEST_F(ServeTest, AFailingRequestCannotPoisonConcurrentRequests)
     EXPECT_EQ(out[2], solo_g2.at(0));
 }
 
+TEST_F(ServeTest, InvalidGeneratorSpecsAnswerAnErrorAndServingGoesOn)
+{
+    // Each of these once reached a generator assertion and aborted
+    // the daemon. Each bad line sits between two good ones.
+    const char *const bad_specs[] = {
+        "rmat:vertices=1,edges=4", "rmat:vertices=64,a=nan",
+        "rmat:vertices=64,d=0.5",  "rmat:maxweight=inf",
+        "er:vertices=1",           "grid:width=0",
+        "chain:n=0",               "star:n=1",
+        "complete:n=0",            "bipartite:users=0",
+    };
+    const std::string good =
+        R"({"id":"g","type":"run","workload":"bfs","dataset":"chain:n=8"})"
+        "\n";
+    std::string input = good;
+    for (const char *spec : bad_specs) {
+        input += R"({"id":"b","type":"run","workload":"bfs","dataset":")" +
+                 std::string(spec) + "\"}\n" + good;
+    }
+    const auto out = lines(serveText(input));
+    ASSERT_EQ(out.size(), 2 * std::size(bad_specs) + 1);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        if (i % 2 == 1) {
+            expectError(out[i], "b", "dataset spec '");
+        } else {
+            EXPECT_TRUE(parsedResponse(out[i]).find("ok")->asBool())
+                << out[i];
+        }
+    }
+}
+
 TEST_F(ServeTest, PrepareNeedsADaemonPlanStore)
 {
     const auto out = lines(serveText(
