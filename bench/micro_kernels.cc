@@ -406,12 +406,20 @@ serveRequest(const perf::RepOptions &rep, bool warm)
     const std::string request =
         "{\"id\":\"r\",\"type\":\"run\",\"workload\":\"pagerank\","
         "\"backend\":\"outofcore\","
-        "\"dataset\":\"rmat:vertices=16384,edges=131072,seed=5\"}\n";
-    if (warm) {
-        std::istringstream in(request);
-        std::ostringstream out;
-        server.serve(in, out);
-    }
+        "\"dataset\":\"rmat:vertices=16384,edges=131072,seed=5\"}";
+    const auto serve = [&server, &request] {
+        std::string response;
+        const service::Server::SessionPtr session = server.openSession(
+            [&response](std::string &&line) {
+                response = std::move(line);
+            });
+        server.handleLine(session, request);
+        server.drainSession(*session);
+        server.closeSession(session);
+        return response;
+    };
+    if (warm)
+        serve();
     CaseResult result;
     result.stats = timeLoop(rep, 1, [&] {
         if (!warm) {
@@ -421,10 +429,7 @@ serveRequest(const perf::RepOptions &rep, bool warm)
             clearGoldenCache();
             driver::clearDatasetCache();
         }
-        std::istringstream in(request);
-        std::ostringstream out;
-        server.serve(in, out);
-        perf::doNotOptimize(out.str().size());
+        perf::doNotOptimize(serve().size());
     });
     result.itemsPerIter = 1;
     result.label = warm ? "warm" : "cold";

@@ -26,10 +26,8 @@ constexpr std::string_view kKnownSites[] = {
     "net.conn.read.fail",  ///< connection read reports an I/O error
     "net.conn.write.fail", ///< connection write reports an I/O error
     "pool.task.slow",    ///< worker stalls `=ms` (default 50) pre-task
-    "serve.read.eintr",  ///< fd read reports a transient EINTR
-    "serve.read.eio",    ///< fd read reports a permanent I/O error
-    "serve.write.eio",   ///< fd write reports a permanent I/O error
-    "serve.write.short", ///< fd write transfers a single byte
+    "serve.read.eintr",  ///< connection read reports a transient EINTR
+    "serve.write.short", ///< connection write transfers a single byte
     "store.decode.fail", ///< compressed edge stream decode faults
     "store.fsync.fail",  ///< artifact temp-file fsync fails
     "store.open.fail",   ///< artifact file unreadable outright

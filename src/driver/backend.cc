@@ -61,28 +61,44 @@ effectiveCf(const Workload &workload, const ResolvedDataset &dataset)
 }
 
 /**
- * Shared dispatch for any runner exposing the GraphR-family method
- * surface (GraphRNode, OutOfCoreRunner): one run* entry per workload,
- * SpMV taking an explicit input vector.
+ * The one workload dispatch, for every runner: each exposes one run*
+ * entry per workload. Two calls differ by runner family — SpMV takes
+ * an explicit all-ones input vector on the GraphR node and the
+ * out-of-core runner, and the baseline models run PageRank for the
+ * golden iteration count so they converge identically to GraphR.
  */
 template <typename Runner>
 RunResult
-runGraphRFamily(Runner &runner, const std::string &backend_name,
-                const Workload &workload,
-                const ResolvedDataset &dataset)
+runWorkload(Runner &runner, const std::string &backend_name,
+            const Workload &workload, const ResolvedDataset &dataset)
 {
     RunResult result = makeResult(backend_name, workload, dataset);
     const CooGraph &graph = dataset.graph;
     switch (workload.kind) {
       case WorkloadKind::kPageRank:
-        result.absorb(
-            runner.runPageRank(graph, workload.params.pagerank));
+        if constexpr (requires {
+                          runner.runPageRank(graph,
+                                             workload.params.pagerank);
+                      }) {
+            result.absorb(
+                runner.runPageRank(graph, workload.params.pagerank));
+        } else {
+            // Cached: a `--backend all` sweep computes the golden
+            // iteration count once, not once per baseline backend.
+            const std::shared_ptr<const PageRankResult> golden =
+                cachedGoldenPageRank(graph, workload.params.pagerank);
+            result.absorb(runner.runPageRank(
+                graph, static_cast<std::uint64_t>(golden->iterations)));
+        }
         break;
-      case WorkloadKind::kSpmv: {
-        const std::vector<Value> x(graph.numVertices(), 1.0);
-        result.absorb(runner.runSpmv(graph, x));
+      case WorkloadKind::kSpmv:
+        if constexpr (requires { runner.runSpmv(graph); }) {
+            result.absorb(runner.runSpmv(graph));
+        } else {
+            const std::vector<Value> x(graph.numVertices(), 1.0);
+            result.absorb(runner.runSpmv(graph, x));
+        }
         break;
-      }
       case WorkloadKind::kBfs:
         result.absorb(
             runner.runBfs(graph, checkedSource(workload, dataset)));
@@ -102,7 +118,7 @@ runGraphRFamily(Runner &runner, const std::string &backend_name,
     return result;
 }
 
-/** The paper's evaluated GraphR node. */
+/** The paper's evaluated GraphR node, fresh for every run. */
 class GraphRBackend : public Backend
 {
   public:
@@ -122,209 +138,50 @@ class GraphRBackend : public Backend
     run(const Workload &workload, const ResolvedDataset &dataset) override
     {
         GraphRNode node(config_);
-        return runGraphRFamily(node, name(), workload, dataset);
+        return runWorkload(node, name(), workload, dataset);
     }
 
   private:
     GraphRConfig config_;
 };
 
-/** GraphR cluster with destination-stripe partitioning. */
-class MultiNodeBackend : public Backend
-{
-  public:
-    explicit MultiNodeBackend(const BackendOptions &options)
-        : cluster_(options.config, options.numNodes, options.link)
-    {
-    }
-
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "multinode";
-        return n;
-    }
-
-    RunResult
-    run(const Workload &workload, const ResolvedDataset &dataset) override
-    {
-        RunResult result = makeResult(name(), workload, dataset);
-        const CooGraph &graph = dataset.graph;
-        switch (workload.kind) {
-          case WorkloadKind::kPageRank:
-            result.absorb(
-                cluster_.runPageRank(graph, workload.params.pagerank));
-            break;
-          case WorkloadKind::kSpmv:
-            result.absorb(cluster_.runSpmv(graph));
-            break;
-          case WorkloadKind::kBfs:
-            result.absorb(cluster_.runBfs(
-                graph, checkedSource(workload, dataset)));
-            break;
-          case WorkloadKind::kSssp:
-            result.absorb(cluster_.runSssp(
-                graph, checkedSource(workload, dataset)));
-            break;
-          case WorkloadKind::kWcc:
-            result.absorb(cluster_.runWcc(graph));
-            break;
-          case WorkloadKind::kCf:
-            result.absorb(
-                cluster_.runCf(graph, effectiveCf(workload, dataset)));
-            break;
-        }
-        return result;
-    }
-
-  private:
-    MultiNodeGraphR cluster_;
-};
-
-/** GraphR node fed block-by-block from modelled disk. */
-class OutOfCoreBackend : public Backend
-{
-  public:
-    explicit OutOfCoreBackend(const BackendOptions &options)
-        : runner_(options.config, options.storage)
-    {
-    }
-
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "outofcore";
-        return n;
-    }
-
-    RunResult
-    run(const Workload &workload, const ResolvedDataset &dataset) override
-    {
-        return runGraphRFamily(runner_, name(), workload, dataset);
-    }
-
-  private:
-    OutOfCoreRunner runner_;
-};
-
 /**
- * Shared dispatch for the three baseline models (identical method
- * surface; PageRank takes the golden iteration count so baselines
- * and GraphR converge identically).
+ * A backend that keeps one runner for its lifetime: the GraphR
+ * cluster, the out-of-core runner and the three baseline models.
  */
-template <typename Model>
-RunResult
-runBaseline(Model &model, const std::string &backend_name,
-            const Workload &workload, const ResolvedDataset &dataset)
+template <typename Runner>
+class RunnerBackend : public Backend
 {
-    RunResult result = makeResult(backend_name, workload, dataset);
-    const CooGraph &graph = dataset.graph;
-    switch (workload.kind) {
-      case WorkloadKind::kPageRank: {
-        // Cached: a `--backend all` sweep computes the golden
-        // iteration count once, not once per baseline backend.
-        const std::shared_ptr<const PageRankResult> golden =
-            cachedGoldenPageRank(graph, workload.params.pagerank);
-        result.absorb(model.runPageRank(
-            graph, static_cast<std::uint64_t>(golden->iterations)));
-        break;
-      }
-      case WorkloadKind::kSpmv:
-        result.absorb(model.runSpmv(graph));
-        break;
-      case WorkloadKind::kBfs:
-        result.absorb(
-            model.runBfs(graph, checkedSource(workload, dataset)));
-        break;
-      case WorkloadKind::kSssp:
-        result.absorb(
-            model.runSssp(graph, checkedSource(workload, dataset)));
-        break;
-      case WorkloadKind::kWcc:
-        result.absorb(model.runWcc(graph));
-        break;
-      case WorkloadKind::kCf:
-        result.absorb(
-            model.runCf(graph, effectiveCf(workload, dataset)));
-        break;
+  public:
+    RunnerBackend(std::string name, Runner runner)
+        : name_(std::move(name)), runner_(std::move(runner))
+    {
     }
-    return result;
+
+    const std::string &
+    name() const override
+    {
+        return name_;
+    }
+
+    RunResult
+    run(const Workload &workload, const ResolvedDataset &dataset) override
+    {
+        return runWorkload(runner_, name_, workload, dataset);
+    }
+
+  private:
+    std::string name_;
+    Runner runner_;
+};
+
+template <typename Runner>
+std::unique_ptr<Backend>
+runnerBackend(std::string name, Runner runner)
+{
+    return std::make_unique<RunnerBackend<Runner>>(std::move(name),
+                                                   std::move(runner));
 }
-
-class CpuBackend : public Backend
-{
-  public:
-    explicit CpuBackend(const BackendOptions &options)
-        : model_(options.cpu)
-    {
-    }
-
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "cpu";
-        return n;
-    }
-
-    RunResult
-    run(const Workload &workload, const ResolvedDataset &dataset) override
-    {
-        return runBaseline(model_, name(), workload, dataset);
-    }
-
-  private:
-    CpuModel model_;
-};
-
-class GpuBackend : public Backend
-{
-  public:
-    explicit GpuBackend(const BackendOptions &options)
-        : model_(options.gpu)
-    {
-    }
-
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "gpu";
-        return n;
-    }
-
-    RunResult
-    run(const Workload &workload, const ResolvedDataset &dataset) override
-    {
-        return runBaseline(model_, name(), workload, dataset);
-    }
-
-  private:
-    GpuModel model_;
-};
-
-class PimBackend : public Backend
-{
-  public:
-    explicit PimBackend(const BackendOptions &options)
-        : model_(options.pim)
-    {
-    }
-
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "pim";
-        return n;
-    }
-
-    RunResult
-    run(const Workload &workload, const ResolvedDataset &dataset) override
-    {
-        return runBaseline(model_, name(), workload, dataset);
-    }
-
-  private:
-    PimModel model_;
-};
 
 } // namespace
 
@@ -343,15 +200,19 @@ makeBackend(const std::string &name, const BackendOptions &options)
     if (name == "graphr")
         return std::make_unique<GraphRBackend>(options);
     if (name == "multinode")
-        return std::make_unique<MultiNodeBackend>(options);
+        return runnerBackend(name,
+                             MultiNodeGraphR(options.config,
+                                             options.numNodes,
+                                             options.link));
     if (name == "outofcore")
-        return std::make_unique<OutOfCoreBackend>(options);
+        return runnerBackend(
+            name, OutOfCoreRunner(options.config, options.storage));
     if (name == "cpu")
-        return std::make_unique<CpuBackend>(options);
+        return runnerBackend(name, CpuModel(options.cpu));
     if (name == "gpu")
-        return std::make_unique<GpuBackend>(options);
+        return runnerBackend(name, GpuModel(options.gpu));
     if (name == "pim")
-        return std::make_unique<PimBackend>(options);
+        return runnerBackend(name, PimModel(options.pim));
     std::string msg = "unknown backend '" + name + "' (known:";
     for (const std::string &n : allBackendNames())
         msg += " " + n;

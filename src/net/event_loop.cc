@@ -10,12 +10,21 @@
 
 #include "common/failpoint.hh"
 #include "driver/driver.hh"
+#include "perf/counters.hh"
 
 namespace graphr::net
 {
 
 namespace
 {
+
+/** Stop reading a connection whose un-sent response bytes exceed
+ *  this — the client is not draining. */
+constexpr std::size_t kMaxOutboundBytes = 1 << 20;
+
+/** Stop reading a connection holding this many framed,
+ *  not-yet-dispatched lines. */
+constexpr std::size_t kMaxPendingLines = 256;
 
 /** Strip surrounding whitespace (JSONL lines may end in \r). */
 std::string
@@ -33,27 +42,43 @@ trimmed(const std::string &line)
     return line.substr(first, last - first);
 }
 
+/** One transparently retried transient fault (EINTR or a short
+ *  write) on a connection's fds. */
+void
+noteServeRetry()
+{
+    static perf::Counter &retries =
+        perf::Registry::instance().counter("serve.retries");
+    retries.add();
+}
+
 } // namespace
 
 /**
- * One established client connection. The loop thread owns everything
- * except `inbox`, which worker threads append responses to under the
- * loop mutex (the session sink); flushConnection() splices it into
- * the loop-owned send buffer before writing.
+ * One client connection. The loop thread owns everything except
+ * `inbox`, which worker threads append responses to under the loop
+ * mutex (the session sink); flushConnection() splices it into the
+ * loop-owned send buffer before writing.
  */
 struct EventLoop::Connection
 {
-    int fd = -1;
+    int readFd = -1;
+    int writeFd = -1;
+    /** Accepted sockets are closed on release; a caller's fds get
+     *  their original flags back instead. */
+    bool ownsFds = false;
+    int readFlags = -1;
+    int writeFlags = -1;
     service::Server::SessionPtr session;
     LineBuffer lines;
     /** Sink-delivered response bytes (guarded by EventLoop::mutex_). */
     std::string inbox;
-    /** Bytes being written to the socket (loop thread only). */
+    /** Bytes being written to the fd (loop thread only). */
     std::string sendBuf;
     std::size_t sendOff = 0;
     /** No more reads (EOF, stop, or fault); close once drained. */
     bool closing = false;
-    /** Torn down (fault or fully drained); reap will erase it. */
+    /** Released (fault or fully drained); reap will erase it. */
     bool dead = false;
 
     explicit Connection(std::size_t maxLineBytes)
@@ -62,11 +87,10 @@ struct EventLoop::Connection
     }
 };
 
-EventLoop::EventLoop(service::Server &server, Listener &listener,
-                     const EventLoopOptions &options,
-                     std::ostream &log)
-    : server_(server), listener_(listener), options_(options),
-      log_(log)
+EventLoop::EventLoop(service::Server &server, Listener *listener,
+                     std::size_t maxConnections, std::ostream &log)
+    : server_(server), listener_(listener),
+      maxConnections_(maxConnections), log_(log)
 {
     int fds[2] = {-1, -1};
     if (::pipe(fds) != 0) {
@@ -74,20 +98,19 @@ EventLoop::EventLoop(service::Server &server, Listener &listener,
             "cannot create event-loop wake pipe: " +
             std::string(std::strerror(errno)));
     }
-    for (const int fd : fds) {
-        const int flags = ::fcntl(fd, F_GETFL, 0);
-        if (flags >= 0)
-            ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    }
+    setNonBlocking(fds[0]);
+    setNonBlocking(fds[1]);
     wakeRead_ = fds[0];
     wakeWrite_ = fds[1];
 }
 
 EventLoop::~EventLoop()
 {
+    // Normally empty; after a poll failure this drops the sinks that
+    // still point at live connections before the connections go.
     for (const std::unique_ptr<Connection> &conn : conns_) {
-        if (conn->fd >= 0)
-            ::close(conn->fd);
+        if (!conn->dead)
+            release(*conn);
     }
     ::close(wakeRead_);
     ::close(wakeWrite_);
@@ -103,11 +126,41 @@ EventLoop::wake()
         ::write(wakeWrite_, &byte, 1);
 }
 
-EventLoopStats
-EventLoop::stats() const
+EventLoop::Connection &
+EventLoop::openConnection(int readFd, int writeFd, bool ownsFds)
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    auto conn = std::make_unique<Connection>(server_.maxLineBytes());
+    conn->readFd = readFd;
+    conn->writeFd = writeFd;
+    conn->ownsFds = ownsFds;
+    Connection *raw = conn.get();
+    // The sink runs on worker threads under the server mutex: append
+    // the response bytes under the loop mutex and nudge poll().
+    // release() closes the session (dropping the sink) before the
+    // Connection is ever destroyed, so `raw` cannot dangle.
+    conn->session =
+        server_.openSession([this, raw](std::string &&line) {
+            {
+                const std::lock_guard<std::mutex> lock(mutex_);
+                raw->inbox.append(line);
+                raw->inbox.push_back('\n');
+            }
+            wake();
+        });
+    conns_.push_back(std::move(conn));
+    return *raw;
+}
+
+void
+EventLoop::addConnection(int readFd, int writeFd)
+{
+    Connection &conn = openConnection(readFd, writeFd, /*ownsFds=*/false);
+    // Read both before changing either: on a terminal, fds 0 and 1
+    // usually share one open file description, and with it the flags.
+    conn.readFlags = ::fcntl(readFd, F_GETFL, 0);
+    conn.writeFlags = ::fcntl(writeFd, F_GETFL, 0);
+    setNonBlocking(readFd);
+    setNonBlocking(writeFd);
 }
 
 void
@@ -122,55 +175,71 @@ EventLoop::run()
             // signal lands, finish what is in flight. Closing the
             // listen fd here is the "stop accepting" half; connected
             // clients keep their already-framed lines.
-            listener_.close();
+            if (listener_ != nullptr)
+                listener_->close();
             for (const std::unique_ptr<Connection> &conn : conns_)
                 conn->closing = true;
         }
 
         reapFinished();
-        if (stopping_ && conns_.empty())
+        const bool listening =
+            listener_ != nullptr && !listener_->closed();
+        if (!listening && conns_.empty())
             return;
 
         fds.clear();
         owner.clear();
         fds.push_back(pollfd{wakeRead_, POLLIN, 0});
         owner.push_back(nullptr);
-        const bool acceptable = !stopping_ && !listener_.closed() &&
-                                conns_.size() <
-                                    options_.maxConnections;
+        const bool acceptable =
+            listening && conns_.size() < maxConnections_;
         if (acceptable) {
-            fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
+            fds.push_back(pollfd{listener_->fd(), POLLIN, 0});
             owner.push_back(nullptr);
         }
         for (const std::unique_ptr<Connection> &conn : conns_) {
-            short events = 0;
-            bool wantRead = !conn->closing;
             std::size_t queued = 0;
             {
                 const std::lock_guard<std::mutex> lock(mutex_);
                 queued = conn->inbox.size();
             }
             queued += conn->sendBuf.size() - conn->sendOff;
-            // Socket-level backpressure: a client that floods
-            // requests or stops draining responses accumulates bytes
-            // in its kernel buffers, not in the daemon.
-            if (conn->lines.pendingLines() >=
-                    options_.maxPendingLines ||
-                queued >= options_.maxOutboundBytes)
-                wantRead = false;
-            if (wantRead)
-                events |= POLLIN;
-            if (queued > 0)
-                events |= POLLOUT;
-            // events == 0 still reports POLLERR/POLLHUP, which is
-            // what a fully-backpressured connection is waiting on.
-            fds.push_back(pollfd{conn->fd, events, 0});
-            owner.push_back(conn.get());
+            // Backpressure: a client that floods requests, stops
+            // draining responses or queues answers behind a slow
+            // request accumulates bytes in the kernel, not in the
+            // daemon.
+            const bool wantRead =
+                !conn->closing &&
+                conn->lines.pendingLines() < kMaxPendingLines &&
+                queued < kMaxOutboundBytes &&
+                !server_.sessionFull(*conn->session);
+            const short readEvents = wantRead ? POLLIN : 0;
+            const short writeEvents = queued > 0 ? POLLOUT : 0;
+            if (conn->readFd == conn->writeFd) {
+                // events == 0 still reports POLLERR/POLLHUP, which is
+                // what a fully-backpressured socket is waiting on.
+                fds.push_back(pollfd{conn->readFd,
+                                     static_cast<short>(readEvents |
+                                                        writeEvents),
+                                     0});
+                owner.push_back(conn.get());
+                continue;
+            }
+            // A pipe's read end reports POLLHUP for good after EOF, so
+            // a split pair is polled only for what the loop wants.
+            if (wantRead) {
+                fds.push_back(pollfd{conn->readFd, readEvents, 0});
+                owner.push_back(conn.get());
+            }
+            if (writeEvents != 0) {
+                fds.push_back(pollfd{conn->writeFd, writeEvents, 0});
+                owner.push_back(conn.get());
+            }
         }
 
-        // The 500 ms tick mirrors fd_stream's stop-flag polling: a
-        // signal that lands outside poll() still stops the loop
-        // within half a second.
+        // The 500 ms tick bounds how late a stop is seen: a signal
+        // that lands outside poll() still stops the loop within half
+        // a second.
         const int ready =
             ::poll(fds.data(),
                    static_cast<nfds_t>(fds.size()), 500);
@@ -194,11 +263,11 @@ EventLoop::run()
             if (conn == nullptr || conn->dead)
                 continue;
             if ((fds[i].revents & (POLLERR | POLLNVAL)) != 0) {
-                teardown(*conn, "socket error");
+                teardown(*conn, "fd error");
                 continue;
             }
             if ((fds[i].revents & (POLLIN | POLLHUP)) != 0 &&
-                !conn->closing)
+                fds[i].fd == conn->readFd && !conn->closing)
                 readConnection(*conn);
         }
 
@@ -214,51 +283,30 @@ EventLoop::run()
 void
 EventLoop::acceptPending()
 {
-    while (conns_.size() < options_.maxConnections) {
-        const int fd = listener_.acceptClient(log_);
+    while (conns_.size() < maxConnections_) {
+        const int fd = listener_->acceptClient(log_);
         if (fd < 0)
             return;
-        auto conn =
-            std::make_unique<Connection>(options_.maxLineBytes);
-        conn->fd = fd;
-        Connection *raw = conn.get();
-        // The sink runs on worker threads under the server mutex:
-        // append the response bytes under the loop mutex and nudge
-        // poll(). Server::closeSession() drops the sink before the
-        // Connection is ever destroyed, so `raw` cannot dangle.
-        conn->session = server_.openSession(
-            [this, raw](std::string &&line) {
-                {
-                    const std::lock_guard<std::mutex> lock(mutex_);
-                    raw->inbox.append(line);
-                    raw->inbox.push_back('\n');
-                }
-                wake();
-            });
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.accepted;
-        }
-        conns_.push_back(std::move(conn));
+        openConnection(fd, fd, /*ownsFds=*/true);
     }
 }
 
 void
 EventLoop::readConnection(Connection &conn)
 {
-    // One recv per connection per poll pass: fairness starts at the
-    // socket — a fast talker cannot monopolise the loop, it gets one
+    // One read per connection per poll pass: fairness starts at the
+    // fd — a fast talker cannot monopolise the loop, it gets one
     // buffer's worth per pass like everyone else.
     char buf[64 * 1024];
     if (GRAPHR_FAILPOINT("net.conn.read.fail")) {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.readFaults;
-        }
         teardown(conn, "read failed (injected fault)");
         return;
     }
-    const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
+    if (GRAPHR_FAILPOINT("serve.read.eintr")) {
+        noteServeRetry(); // as if a signal interrupted the read
+        return;
+    }
+    const ssize_t n = ::read(conn.readFd, buf, sizeof(buf));
     if (n > 0) {
         conn.lines.append(buf, static_cast<std::size_t>(n));
         return;
@@ -270,12 +318,12 @@ EventLoop::readConnection(Connection &conn)
         conn.closing = true;
         return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
+    if (errno == EINTR) {
+        noteServeRetry();
         return;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.readFaults;
     }
+    if (errno == EAGAIN || errno == EWOULDBLOCK)
+        return;
     teardown(conn, std::strerror(errno));
 }
 
@@ -296,22 +344,23 @@ EventLoop::dispatchLines()
         const std::size_t count = conns_.size();
         for (std::size_t k = 0; k < count; ++k) {
             Connection &conn = *conns_[(cursor_ + k) % count];
-            if (conn.dead)
+            // A full reorder buffer pauses dispatch too, so one read's
+            // worth of framed lines cannot overshoot the bound.
+            if (conn.dead || conn.lines.pendingLines() == 0 ||
+                server_.sessionFull(*conn.session))
                 continue;
             std::string line;
-            switch (conn.lines.pop(line)) {
-            case LineBuffer::Next::kNone:
-                continue;
-            case LineBuffer::Next::kOversized:
+            if (conn.lines.pop(line) == LineBuffer::Next::kOversized) {
                 server_.handleOversizedLine(conn.session);
-                break;
-            case LineBuffer::Next::kLine: {
+            } else {
                 const std::string request = trimmed(line);
                 if (!request.empty())
                     server_.handleLine(conn.session, request);
-                break;
             }
-            }
+            // Ship what is ready before the next line: the client sees
+            // each answer as soon as it is in order, and a status line
+            // after it reports the write it took.
+            flushConnection(conn);
             dispatched = true;
         }
     }
@@ -329,27 +378,32 @@ EventLoop::flushConnection(Connection &conn)
     }
     while (conn.sendOff < conn.sendBuf.size()) {
         if (GRAPHR_FAILPOINT("net.conn.write.fail")) {
-            {
-                const std::lock_guard<std::mutex> lock(mutex_);
-                ++stats_.writeFaults;
-            }
             teardown(conn, "write failed (injected fault)");
             return;
         }
+        std::size_t len = conn.sendBuf.size() - conn.sendOff;
+        if (len > 1 && GRAPHR_FAILPOINT("serve.write.short")) {
+            len = 1; // deterministic short write; the loop resumes
+            noteServeRetry();
+        }
         const ssize_t n =
-            ::write(conn.fd, conn.sendBuf.data() + conn.sendOff,
-                    conn.sendBuf.size() - conn.sendOff);
+            ::write(conn.writeFd, conn.sendBuf.data() + conn.sendOff,
+                    len);
         if (n > 0) {
             conn.sendOff += static_cast<std::size_t>(n);
             continue;
         }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            return; // kernel buffer full; POLLOUT will resume us
-        if (n < 0 && errno == EINTR)
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+            // Kernel buffer full: POLLOUT resumes us — unless the
+            // daemon is stopping, when only what the fd takes now is
+            // flushed and a client that stopped reading is dropped.
+            if (stopping_)
+                teardown(conn, "output not drained at shutdown");
+            return;
+        }
+        if (n < 0 && errno == EINTR) {
+            noteServeRetry();
             continue;
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.writeFaults;
         }
         teardown(conn, std::strerror(errno));
         return;
@@ -364,13 +418,30 @@ EventLoop::teardown(Connection &conn, const char *why)
     log_ << "connection " << conn.session->id() << " closed: " << why
          << "\n"
          << std::flush;
+    // In-flight requests still finish — their responses are counted
+    // and discarded.
+    release(conn);
+}
+
+void
+EventLoop::release(Connection &conn)
+{
     // closeSession drops the sink under the server mutex: after it
     // returns no worker can touch this connection's inbox again, so
-    // marking it dead (reaped next cycle) is safe. In-flight requests
-    // still finish — their responses are counted and discarded.
+    // marking it dead (reaped next cycle) is safe.
     server_.closeSession(conn.session);
-    ::close(conn.fd);
-    conn.fd = -1;
+    if (conn.ownsFds) {
+        ::close(conn.readFd);
+    } else {
+        // fds 0/1 may share their open file description with the
+        // invoking shell: hand them back as they came.
+        if (conn.readFlags >= 0)
+            ::fcntl(conn.readFd, F_SETFL, conn.readFlags);
+        if (conn.writeFlags >= 0)
+            ::fcntl(conn.writeFd, F_SETFL, conn.writeFlags);
+    }
+    conn.readFd = -1;
+    conn.writeFd = -1;
     conn.closing = true;
     conn.dead = true;
 }
@@ -388,12 +459,8 @@ EventLoop::reapFinished()
                 const std::lock_guard<std::mutex> lock(mutex_);
                 drained = conn.inbox.empty();
             }
-            if (drained && conn.sendOff == conn.sendBuf.size()) {
-                server_.closeSession(conn.session);
-                ::close(conn.fd);
-                conn.fd = -1;
-                conn.dead = true;
-            }
+            if (drained && conn.sendOff == conn.sendBuf.size())
+                release(conn);
         }
         if (conn.dead) {
             conns_.erase(conns_.begin() +

@@ -17,9 +17,6 @@
 namespace graphr::net
 {
 
-namespace
-{
-
 void
 setNonBlocking(int fd)
 {
@@ -27,8 +24,6 @@ setNonBlocking(int fd)
     if (flags >= 0)
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
-
-} // namespace
 
 Listener::Listener(int port, std::ostream &log)
 {

@@ -19,6 +19,9 @@
 namespace graphr::net
 {
 
+/** Set O_NONBLOCK on @p fd (a no-op if its flags cannot be read). */
+void setNonBlocking(int fd);
+
 /** A non-blocking loopback listening socket (RAII over the fd). */
 class Listener
 {

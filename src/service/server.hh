@@ -4,13 +4,13 @@
  *
  * A Server owns a worker pool and process-resident warm state (the
  * PlanCache with an optionally attached PlanStore, the golden-result
- * cache) and answers JSONL request streams. Since the connection
- * layer (src/net/) arrived, a Server serves many streams at once:
- * each client connection opens a Session — the per-connection unit of
- * response ordering, admission quota and counters — and feeds it
- * request lines; the Server fans the work across one shared pool and
- * hands each Session its responses back in that session's admission
- * order. The paper's offline/online split is what makes this shape
+ * cache) and answers JSONL request streams, many at once. Each client
+ * stream — a TCP connection or --stdin, both framed by the one
+ * net::EventLoop — opens a Session: the per-connection unit of
+ * response ordering, admission quota and counters. The framer feeds
+ * it request lines; the Server fans the work across one shared pool
+ * and hands each Session its responses back in that session's
+ * admission order. The paper's offline/online split is what makes this shape
  * pay: the first request for a (graph x tiling) prepares (or
  * store-loads) the plan, every later one — from any connection — is
  * sort-free.
@@ -43,11 +43,11 @@
  *    deterministic numbers, which the CI smoke relies on.
  *
  * Thread-safety: handleLine()/handleOversizedLine() for one Session
- *  must be called from one thread at a time (the event loop or the
- *  blocking serve() reader); different Sessions may be fed from
- *  different threads. Sinks are invoked with the server mutex held,
- *  from whatever thread completes the request — keep them cheap
- *  (buffer-append) or accept the serialisation (stream write).
+ *  must be called from one thread at a time (the event loop thread,
+ *  or an in-process caller driving its own session); different
+ *  Sessions may be fed from different threads. Sinks are invoked with
+ *  the server mutex held, from whatever thread completes the request
+ *  — keep them cheap (buffer-append).
  *  requestStop() may be called from any thread or from a signal
  *  handler (it only stores a lock-free atomic).
  */
@@ -60,11 +60,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <istream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -88,7 +86,8 @@ struct ServeOptions
      * Max outstanding requests (admitted, not yet answered) across
      * every session; further work requests get a structured "queue
      * full" rejection. 0 means reject everything — useful only for
-     * tests.
+     * tests. It also caps each session's reorder buffer (see
+     * Server::sessionFull).
      */
     std::uint32_t queueDepth = 256;
     /**
@@ -165,21 +164,11 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /**
-     * Serve one request stream on the calling thread: read JSONL
-     * requests from @p in until EOF or requestStop(), answer each on
-     * @p out (one line per request, admission order, flushed per
-     * line). Returns after every request this stream admitted has
-     * been answered. Implemented as one Session over the connection
-     * seam below; call again with a new stream to serve the next
-     * client on the same warm state.
-     */
-    void serve(std::istream &in, std::ostream &out);
-
     // ------------------------------------------------ connection seam
-    // The multi-client surface src/net/EventLoop drives. One Session
-    // per client connection; the caller owns line framing (see
-    // net/line_buffer.hh) and feeds complete lines in.
+    // The surface src/net/EventLoop drives. One Session per client
+    // stream; the caller owns line framing (see net/line_buffer.hh)
+    // and feeds complete lines in. In-process callers (the perf
+    // suite, the micro benches) drive a session directly.
 
     /** Open a session: responses flow to @p sink in admission order.
      *  Counted in the status "connections" block. */
@@ -193,17 +182,25 @@ class Server
     void closeSession(const SessionPtr &session);
 
     /** Parse, validate, admit and dispatch one request line for a
-     *  session. Never blocks on I/O; may block on the status barrier
-     *  or (blocking sessions only) response backpressure. */
+     *  session. Never blocks on I/O; a status line blocks until every
+     *  earlier request is answered (the status barrier). */
     void handleLine(const SessionPtr &session, const std::string &line);
 
     /** Answer a line the bounded reader refused (too long) with a
      *  structured error in the session's admission slot. */
     void handleOversizedLine(const SessionPtr &session);
 
-    /** Admitted-but-unanswered requests on this session — the event
-     *  loop's read-backpressure signal. */
+    /** Admitted requests whose responses the sink has not seen yet
+     *  (0 = the session is drained). */
     std::size_t sessionBacklog(const Session &session) const;
+
+    /**
+     * Whether the session's reorder buffer holds more than queueDepth
+     * finished responses, all waiting on an earlier slow request. The
+     * framer must stop feeding the session lines until it drains:
+     * this bounds what a flood behind one stalled request can cost.
+     */
+    bool sessionFull(const Session &session) const;
 
     /** Block until every request this session admitted is answered
      *  (its sink has seen every line). */
@@ -221,9 +218,9 @@ class Server
 
     bool stopRequested() const { return stop_.load(); }
 
-    /** The stop flag itself, for read loops that block in I/O
-     *  (fd_stream.hh turns an interrupted read into EOF with it). */
-    const std::atomic<bool> &stopFlag() const { return stop_; }
+    /** The longest accepted request line (0 = unlimited): the
+     *  framer's LineBuffer cap. */
+    std::size_t maxLineBytes() const { return options_.maxLineBytes; }
 
     ServeCounters counters() const;
 
@@ -270,7 +267,7 @@ class Server
     std::atomic<bool> stop_{false};
 
     mutable std::mutex mutex_;
-    std::condition_variable idle_; ///< outstanding work / buffers moved
+    std::condition_variable idle_; ///< outstanding work answered
     /** Admitted-but-unanswered work requests across all sessions
      *  (the global admission bound). */
     std::uint64_t outstanding_ = 0;
@@ -313,10 +310,6 @@ class Server::Session
     std::uint64_t id_;
     ResponseSink sink_;      ///< dropped (nullptr) once closed
     bool open_ = true;
-    /** Blocking sessions (the serve() reader) pause their reader when
-     *  the reorder buffer outgrows the queue depth; event-loop
-     *  sessions apply backpressure at the socket instead. */
-    bool blockingReader_ = false;
 
     std::uint64_t outstanding_ = 0; ///< admitted, not yet answered
     std::uint64_t nextSeq_ = 0;     ///< next admission slot

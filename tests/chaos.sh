@@ -11,18 +11,21 @@
 #   1. the daemon must exit 0 — no injected fault may crash it;
 #   2. sites classified `transient` (absorbed by retry/fallback/
 #      degradation) must produce work responses byte-identical to the
-#      fault-free baseline, and the status line must prove the fault
-#      actually fired (failpoint.fires >= 1);
+#      fault-free baseline, and the final status line must prove the
+#      fault actually fired (failpoint.fires >= 1);
 #   3. sites classified `erroring` must answer the affected request
 #      with a structured `"ok":false` error while later requests in
 #      the same session still match the baseline;
-#   4. sites classified `session` (the fd-level permanent faults) end
+#   4. sites classified `session` (the connection-fatal faults) end
 #      the client session early — only the clean exit is asserted.
 #
 # Two extra scenarios close the loop on the server hardening: a
 # deadline miss (pool.task.slow vs --request-timeout-ms) must yield a
 # structured timeout, and an oversized request line must yield a
-# structured error with the session continuing.
+# structured error with the session continuing. The TCP section
+# drives the net.* sites over real connections, and the last section
+# sends SIGTERM while the client has stopped reading, over --stdin and
+# over TCP: the daemon must still exit 0 promptly.
 set -eu
 
 serve_bin="$1"
@@ -33,11 +36,18 @@ trap 'rm -rf "$workdir"' EXIT
 
 dataset='rmat:vertices=128,edges=512,seed=3'
 
+# q2 comes after q1's response was written, so its robustness block
+# also counts faults on the response write path (serve.write.short).
 requests() {
   printf '%s\n' \
     '{"id":"r1","type":"run","workload":"pagerank","backend":"outofcore","dataset":"'"$dataset"'"}' \
     '{"id":"r2","type":"run","workload":"wcc","backend":"outofcore","dataset":"'"$dataset"'"}' \
-    '{"id":"q1","type":"status"}'
+    '{"id":"q1","type":"status"}' \
+    '{"id":"q2","type":"status"}'
+}
+
+final_robustness() { # robustness block of the last status line
+  grep -o '"robustness":{[^}]*}' "$1" | tail -n 1
 }
 
 work_lines() { # responses to the run requests, id order
@@ -60,7 +70,7 @@ prepared="$workdir/prepared_plans"
 # that), so one baseline serves every per-site directory layout.
 baseline="$workdir/baseline"
 requests | "$serve_bin" --stdin --plan-dir "$prepared" > "$baseline"
-test "$(wc -l < "$baseline")" -eq 3 || fail "baseline incomplete"
+test "$(wc -l < "$baseline")" -eq 4 || fail "baseline incomplete"
 work_lines "$baseline" > "$workdir/baseline_work"
 
 sites="$("$serve_bin" --list-failpoints)"
@@ -84,11 +94,12 @@ for site in $sites; do
       kind=transient; mkdir -p "$plan_dir" ;;
     cache.build.fail)
       kind=erroring; mkdir -p "$plan_dir" ;;
-    serve.read.eio|serve.write.eio)
+    net.conn.read.fail|net.conn.write.fail)
+      # --stdin is one event-loop connection: the fault ends it. Each
+      # also gets a TCP scenario below, where siblings must survive.
       kind=session; mkdir -p "$plan_dir" ;;
-    net.accept.fail|net.conn.read.fail|net.conn.write.fail)
-      # Connection-layer sites: nothing on the --stdin path can reach
-      # them, so each gets a dedicated TCP scenario below.
+    net.accept.fail)
+      # Only a listener accepts: a dedicated TCP scenario below.
       continue ;;
     *)
       fail "unclassified failpoint site '$site' — extend tests/chaos.sh" ;;
@@ -110,8 +121,8 @@ for site in $sites; do
         } >&2
         fail "$site: transient fault changed a work response"
       fi
-      robustness="$(grep -o '"robustness":{[^}]*}' "$out")" \
-        || fail "$site: no robustness block in status"
+      robustness="$(final_robustness "$out")"
+      test -n "$robustness" || fail "$site: no robustness block in status"
       if echo "$robustness" | grep -q '"failpoint.fires":0'; then
         fail "$site: armed failpoint never fired (site unreached)"
       fi
@@ -222,13 +233,13 @@ start_tcp_daemon "$site" "$log"
 port="$(tcp_port "$log")" || fail "$site: daemon never listened"
 exec 3<>"/dev/tcp/127.0.0.1/$port" || fail "$site: connect refused"
 requests >&3
-read_responses 3 3 "$workdir/out_tcp_$site" "$site"
+read_responses 3 4 "$workdir/out_tcp_$site" "$site"
 exec 3<&- 3>&-
 if ! cmp -s "$workdir/baseline_work" \
     <(work_lines "$workdir/out_tcp_$site"); then
   fail "$site: responses diverged after the absorbed accept fault"
 fi
-grep -o '"robustness":{[^}]*}' "$workdir/out_tcp_$site" \
+final_robustness "$workdir/out_tcp_$site" \
     | grep -q '"failpoint.fires":0' \
   && fail "$site: armed failpoint never fired"
 grep -q 'accept failed (injected fault)' "$log" \
@@ -264,7 +275,7 @@ for site in net.conn.read.fail net.conn.write.fail; do
   exec 4<>"/dev/tcp/127.0.0.1/$port" \
     || fail "$site: sibling connect refused"
   requests >&4
-  read_responses 4 3 "$workdir/out_tcp_$site" "$site"
+  read_responses 4 4 "$workdir/out_tcp_$site" "$site"
   exec 4<&- 4>&-
   if ! cmp -s "$workdir/baseline_work" \
       <(work_lines "$workdir/out_tcp_$site"); then
@@ -273,5 +284,55 @@ for site in net.conn.read.fail net.conn.write.fail; do
   stop_tcp_daemon "$site"
   echo "chaos: $site (tcp connection-fatal) ok"
 done
+
+# ------------------------------------------------------ stuck clients
+# SIGTERM while the client has stopped reading its responses: the
+# daemon flushes what the fd takes, drops the client and exits 0
+# within seconds instead of waiting on output nobody drains. The flood
+# is invalid requests: their error responses (~3x the request bytes)
+# back up through the kernel buffers and the daemon's outbound cap.
+flood="$workdir/flood"
+yes '{"id":"stuck","type":"bogus"}' | head -n 200000 > "$flood"
+
+expect_prompt_exit() { # $1=pid, $2=scenario
+  kill -TERM "$1"
+  for _ in $(seq 1 50); do
+    kill -0 "$1" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$1" 2>/dev/null; then
+    kill -KILL "$1"
+    wait "$1" 2>/dev/null || true
+    fail "$2: daemon still running 5 s after SIGTERM"
+  fi
+  wait "$1" || fail "$2: daemon exited nonzero"
+}
+
+# --stdin: stdout is a FIFO this script holds open and never reads.
+mkfifo "$workdir/stuck_fifo"
+exec 5<>"$workdir/stuck_fifo"
+"$serve_bin" --stdin < "$flood" >&5 2> "$workdir/stuck_stdin_log" &
+stuck_pid=$!
+sleep 1
+expect_prompt_exit "$stuck_pid" "stuck stdin client"
+exec 5<&- 5>&-
+echo "chaos: stuck stdin client ok"
+
+# TCP: the client writes the flood and never reads.
+log="$workdir/tcp_log_stuck"
+"$serve_bin" --port 0 2> "$log" &
+tcp_daemon_pid=$!
+port="$(tcp_port "$log")" || fail "stuck tcp client: daemon never listened"
+exec 3<>"/dev/tcp/127.0.0.1/$port" \
+  || fail "stuck tcp client: connect refused"
+cat "$flood" >&3 2>/dev/null & # blocks once the daemon stops reading
+writer_pid=$!
+sleep 1
+expect_prompt_exit "$tcp_daemon_pid" "stuck tcp client"
+tcp_daemon_pid=""
+exec 3<&- 3>&-
+kill "$writer_pid" 2>/dev/null || true
+wait "$writer_pid" 2>/dev/null || true
+echo "chaos: stuck tcp client ok"
 
 echo "serve chaos ok"

@@ -25,6 +25,8 @@
 #include "service/server.hh"
 #include "store/plan_store.hh"
 
+#include "serve_text.hh"
+
 namespace graphr
 {
 namespace
@@ -90,16 +92,6 @@ filesIn(const std::string &dir)
         ++n;
     }
     return n;
-}
-
-/** One serve session over string streams; returns the response text. */
-std::string
-serveText(service::Server &server, const std::string &input)
-{
-    std::istringstream in(input);
-    std::ostringstream out;
-    server.serve(in, out);
-    return out.str();
 }
 
 std::vector<std::string>

@@ -1,22 +1,31 @@
 /**
  * @file
- * Tests for the TCP connection layer (src/net/) and the blocking
- * client library (src/client/): LineBuffer's bounded-memory JSONL
- * framing, the listener's port handling and SO_REUSEADDR rebinding,
- * and the event loop end to end — per-connection response streams
- * byte-identical to a blocking session at any worker count, and the
- * per-connection admission quota keeping a greedy client from
- * starving its siblings.
+ * Tests for the connection layer (src/net/) and the blocking client
+ * library (src/client/): LineBuffer's bounded-memory JSONL framing,
+ * the listener's port handling and SO_REUSEADDR rebinding, and the
+ * event loop end to end — TCP response streams byte-identical to a
+ * stdin session at any worker count, the per-connection admission
+ * quota keeping a greedy client from starving its siblings, the
+ * reorder-buffer cap on a flood behind a stalled request, and a stop
+ * that does not wait on a client that stopped reading (the last two
+ * over TCP and over a stdin-style fd pair).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "client/client.hh"
@@ -30,6 +39,8 @@
 #include "net/listener.hh"
 #include "perf/counters.hh"
 #include "service/server.hh"
+
+#include "serve_text.hh"
 
 namespace graphr
 {
@@ -60,9 +71,9 @@ TEST(LineBufferTest, FramesLinesAcrossArbitraryChunkBoundaries)
 
 TEST(LineBufferTest, OversizedLineIsDiscardedAndReportedOnce)
 {
-    // Same discipline as the blocking reader: exactly cap bytes is
-    // still a line, one byte more is consumed-and-discarded and
-    // surfaces as a single kOversized event.
+    // Exactly cap bytes is still a line, one byte more is
+    // consumed-and-discarded and surfaces as a single kOversized
+    // event.
     LineBuffer buf(4);
     const std::string text = "abcd\nabcde\nok\n";
     buf.append(text.data(), text.size());
@@ -173,21 +184,55 @@ class NetServeTest : public ::testing::Test
     }
 };
 
-/** One in-process daemon: Server + Listener + EventLoop thread. */
+/**
+ * One in-process daemon: Server + EventLoop thread, either listening
+ * on a loopback port or serving one fd pair the way --stdin serves
+ * fds 0 and 1.
+ */
 struct LoopHarness
 {
     std::ostringstream log; // declared first: listener/loop borrow it
     service::Server server;
-    net::Listener listener;
+    std::optional<net::Listener> listener;
     net::EventLoop loop;
+    std::atomic<bool> finished{false};
     std::thread thread;
 
-    explicit LoopHarness(const service::ServeOptions &options,
-                         const net::EventLoopOptions &loop_options = {})
-        : server(options), listener(0, log),
-          loop(server, listener, loop_options, log)
+    explicit LoopHarness(const service::ServeOptions &options)
+        : server(options), listener(std::in_place, 0, log),
+          loop(server, &*listener, 64, log)
     {
-        thread = std::thread([this] { loop.run(); });
+        start();
+    }
+
+    LoopHarness(const service::ServeOptions &options, int readFd,
+                int writeFd)
+        : server(options), loop(server, nullptr, 1, log)
+    {
+        loop.addConnection(readFd, writeFd);
+        start();
+    }
+
+    int port() const { return listener->port(); }
+
+    /** True once run() has returned, waiting at most @p limit. */
+    bool
+    finishedWithin(std::chrono::milliseconds limit)
+    {
+        const auto deadline = std::chrono::steady_clock::now() + limit;
+        while (!finished.load() &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        return finished.load();
+    }
+
+    /** Request a stop; true once run() returned within @p limit. */
+    bool
+    stopWithin(std::chrono::milliseconds limit)
+    {
+        server.requestStop();
+        loop.wake();
+        return finishedWithin(limit);
     }
 
     ~LoopHarness()
@@ -195,6 +240,16 @@ struct LoopHarness
         server.requestStop();
         loop.wake();
         thread.join();
+    }
+
+  private:
+    void
+    start()
+    {
+        thread = std::thread([this] {
+            loop.run();
+            finished.store(true);
+        });
     }
 };
 
@@ -205,26 +260,23 @@ const std::vector<std::string> kStreamRequests = {
     R"({"id":"r2","type":"run","dataset":"grid:width=8,height=8"})",
 };
 
-/** The same requests through a blocking stdin-style session. */
+/** The same requests through a stdin-style session. */
 std::string
-blockingStream()
+stdinStream()
 {
     std::string input;
     for (const std::string &line : kStreamRequests)
         input += line + "\n";
-    std::istringstream in(input);
-    std::ostringstream out;
     service::ServeOptions options;
     options.jobs = 1;
     service::Server server(options);
-    server.serve(in, out);
-    return out.str();
+    return serveText(server, input);
 }
 
 void
-expectConnectionsMatchBlocking(std::uint32_t jobs)
+expectConnectionsMatchStdin(std::uint32_t jobs)
 {
-    const std::string expected = blockingStream();
+    const std::string expected = stdinStream();
     ASSERT_FALSE(expected.empty());
 
     PlanCache::instance().clear();
@@ -238,7 +290,7 @@ expectConnectionsMatchBlocking(std::uint32_t jobs)
 
     // Every connection pipelines the whole request stream at once,
     // concurrently with its siblings; each must read back exactly
-    // the blocking session's bytes, in admission order.
+    // the stdin session's bytes, in admission order.
     constexpr int kConnections = 3;
     std::vector<std::string> streams(kConnections);
     std::vector<std::string> errors(kConnections);
@@ -247,7 +299,7 @@ expectConnectionsMatchBlocking(std::uint32_t jobs)
     for (int c = 0; c < kConnections; ++c) {
         clients.emplace_back([&, c] {
             try {
-                client::Client client(harness.listener.port());
+                client::Client client(harness.port());
                 client.setRecvTimeoutMs(120000);
                 for (const std::string &line : kStreamRequests)
                     client.sendLine(line);
@@ -268,14 +320,14 @@ expectConnectionsMatchBlocking(std::uint32_t jobs)
     }
 }
 
-TEST_F(NetServeTest, ConnectionStreamsMatchTheBlockingSessionSerial)
+TEST_F(NetServeTest, ConnectionStreamsMatchTheStdinSessionSerial)
 {
-    expectConnectionsMatchBlocking(1);
+    expectConnectionsMatchStdin(1);
 }
 
-TEST_F(NetServeTest, ConnectionStreamsMatchTheBlockingSessionJobs4)
+TEST_F(NetServeTest, ConnectionStreamsMatchTheStdinSessionJobs4)
 {
-    expectConnectionsMatchBlocking(4);
+    expectConnectionsMatchStdin(4);
 }
 
 TEST_F(NetServeTest, GreedyClientIsBoundedAndCannotStarveASibling)
@@ -290,14 +342,14 @@ TEST_F(NetServeTest, GreedyClientIsBoundedAndCannotStarveASibling)
     options.connQueueDepth = 2;
     LoopHarness harness(options);
 
-    client::Client greedy(harness.listener.port());
+    client::Client greedy(harness.port());
     greedy.setRecvTimeoutMs(120000);
     constexpr int kBurst = 8;
     for (int i = 0; i < kBurst; ++i)
         greedy.sendLine(R"({"id":"g)" + std::to_string(i) +
                         R"(","type":"run","dataset":"chain:n=64"})");
 
-    client::Client polite(harness.listener.port());
+    client::Client polite(harness.port());
     polite.setRecvTimeoutMs(120000);
     const std::string answer = polite.request(
         R"({"id":"p","type":"run","dataset":"star:n=64"})");
@@ -322,9 +374,9 @@ TEST_F(NetServeTest, StatusReportsTheConnectionLayer)
 {
     LoopHarness harness({});
 
-    client::Client first(harness.listener.port());
+    client::Client first(harness.port());
     first.setRecvTimeoutMs(120000);
-    client::Client second(harness.listener.port());
+    client::Client second(harness.port());
     second.setRecvTimeoutMs(120000);
 
     // Order the observations: the second connection completes a work
@@ -352,6 +404,200 @@ TEST_F(NetServeTest, StatusReportsTheConnectionLayer)
     EXPECT_EQ(admitted, 1u) << "exactly the one work request";
     // No request carried a tenant: the tenants block stays empty.
     EXPECT_TRUE(v.find("tenants")->members().empty());
+}
+
+// ------------------------------------------- bounded reorder buffer
+
+constexpr std::uint32_t kFloodDepth = 8;
+constexpr int kFloodLines = 64;
+
+/** A run request the first worker task stalls on, then kFloodLines
+ *  lines the parser rejects, each with its own id. */
+std::vector<std::string>
+floodLines()
+{
+    std::vector<std::string> lines = {
+        R"({"id":"head","type":"run","dataset":"chain:n=64"})"};
+    for (int i = 0; i < kFloodLines; ++i)
+        lines.push_back(R"({"id":"f)" + std::to_string(i) +
+                        R"(","type":"bogus"})");
+    return lines;
+}
+
+service::ServeOptions
+floodOptions()
+{
+    // The head request stalls its worker for 3 s. Every flood line is
+    // answered at once, but its response must wait for the head's in
+    // the session's reorder buffer.
+    failpoint::configure("pool.task.slow:1@1=3000");
+    service::ServeOptions options;
+    options.jobs = 1;
+    options.queueDepth = kFloodDepth;
+    return options;
+}
+
+/** While the head stalls, exactly queueDepth + 1 flood lines fit in
+ *  the reorder buffer; then the daemon must stop reading. */
+void
+expectFloodHeldAtTheCap(const service::Server &server)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (server.counters().invalid <= kFloodDepth &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    // Time for a daemon that keeps reading to show it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    EXPECT_EQ(server.counters().invalid, kFloodDepth + 1)
+        << "the daemon read past the reorder-buffer cap";
+}
+
+void
+expectFloodAnsweredInOrder(const std::vector<std::string> &responses)
+{
+    ASSERT_EQ(responses.size(), static_cast<std::size_t>(kFloodLines + 1));
+    EXPECT_NE(responses[0].find(R"("id":"head","ok":true)"),
+              std::string::npos)
+        << responses[0];
+    for (int i = 0; i < kFloodLines; ++i) {
+        EXPECT_NE(responses[i + 1].find(R"("id":"f)" +
+                                        std::to_string(i) +
+                                        R"(","ok":false)"),
+                  std::string::npos)
+            << responses[i + 1];
+    }
+}
+
+TEST_F(NetServeTest, FloodBehindAStalledRequestIsCappedOverTcp)
+{
+    LoopHarness harness(floodOptions());
+    client::Client client(harness.port());
+    client.setRecvTimeoutMs(120000);
+    for (const std::string &line : floodLines())
+        client.sendLine(line);
+    expectFloodHeldAtTheCap(harness.server);
+
+    std::vector<std::string> responses;
+    for (int i = 0; i <= kFloodLines; ++i)
+        responses.push_back(client.recvLine());
+    expectFloodAnsweredInOrder(responses);
+}
+
+TEST_F(NetServeTest, FloodBehindAStalledRequestIsCappedOverStdin)
+{
+    int in[2] = {-1, -1};
+    ASSERT_EQ(::pipe(in), 0);
+    std::string input;
+    for (const std::string &line : floodLines())
+        input += line + "\n";
+    // A few KiB: fits the pipe buffer whole.
+    ASSERT_EQ(::write(in[1], input.data(), input.size()),
+              static_cast<ssize_t>(input.size()));
+    ::close(in[1]);
+    std::FILE *out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    {
+        LoopHarness harness(floodOptions(), in[0], ::fileno(out));
+        expectFloodHeldAtTheCap(harness.server);
+        EXPECT_TRUE(harness.finishedWithin(std::chrono::seconds(60)))
+            << "the session never drained after EOF";
+    }
+    ::close(in[0]);
+
+    std::string text;
+    ::lseek(::fileno(out), 0, SEEK_SET);
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::read(::fileno(out), buf, sizeof(buf))) > 0)
+        text.append(buf, static_cast<std::size_t>(n));
+    std::fclose(out);
+    std::vector<std::string> responses;
+    std::istringstream is(text);
+    for (std::string line; std::getline(is, line);)
+        responses.push_back(line);
+    expectFloodAnsweredInOrder(responses);
+}
+
+// ----------------------------------------- stop with a stuck client
+
+/** A raw loopback socket with O_NONBLOCK: the client below must never
+ *  block, and the client library's sockets do. */
+int
+nonBlockingClient(int port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    net::setNonBlocking(fd);
+    return fd;
+}
+
+/**
+ * Write request lines to non-blocking @p fd until the daemon has not
+ * taken a byte for half a second: it stopped reading because its
+ * output to a client that never reads has backed up. Returns the
+ * bytes written.
+ */
+std::size_t
+floodUntilStuck(int fd)
+{
+    std::string chunk;
+    for (int i = 0; i < 1024; ++i)
+        chunk += R"({"id":"stuck","type":"bogus"})" "\n";
+    std::size_t total = 0;
+    int idle = 0;
+    while (idle < 50 && total < (std::size_t{256} << 20)) {
+        const ssize_t n = ::write(fd, chunk.data(), chunk.size());
+        if (n > 0) {
+            total += static_cast<std::size_t>(n);
+            idle = 0;
+            continue;
+        }
+        if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)
+            break;
+        ++idle;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return total;
+}
+
+TEST_F(NetServeTest, StopDropsATcpClientThatStoppedReading)
+{
+    LoopHarness harness({});
+    const int fd = nonBlockingClient(harness.port());
+    EXPECT_GT(floodUntilStuck(fd), 0u);
+    EXPECT_TRUE(harness.stopWithin(std::chrono::seconds(5)))
+        << "the stop waited on a client that does not read";
+    ::close(fd); // lets a hung loop finish, so the harness can join
+}
+
+TEST_F(NetServeTest, StopDropsAStdoutPipeNobodyReads)
+{
+    int in[2] = {-1, -1};
+    int out[2] = {-1, -1};
+    ASSERT_EQ(::pipe(in), 0);
+    ASSERT_EQ(::pipe(out), 0);
+    net::setNonBlocking(in[1]);
+    {
+        LoopHarness harness({}, in[0], out[1]);
+        EXPECT_GT(floodUntilStuck(in[1]), 0u);
+        EXPECT_TRUE(harness.stopWithin(std::chrono::seconds(5)))
+            << "the stop waited on a stdout nobody reads";
+        ::close(out[0]); // lets a hung loop finish
+        out[0] = -1;
+    }
+    // The loop hands the caller's fds back as they came.
+    EXPECT_EQ(::fcntl(in[0], F_GETFL) & O_NONBLOCK, 0);
+    EXPECT_EQ(::fcntl(out[1], F_GETFL) & O_NONBLOCK, 0);
+    ::close(in[0]);
+    ::close(in[1]);
+    ::close(out[1]);
 }
 
 } // namespace

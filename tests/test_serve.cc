@@ -26,6 +26,8 @@
 #include "service/request.hh"
 #include "service/server.hh"
 
+#include "serve_text.hh"
+
 namespace graphr
 {
 namespace
@@ -62,15 +64,8 @@ class ServeTest : public ::testing::Test
     }
 };
 
-/** One serve session over string streams; returns the response text. */
-std::string
-serveText(service::Server &server, const std::string &input)
-{
-    std::istringstream in(input);
-    std::ostringstream out;
-    server.serve(in, out);
-    return out.str();
-}
+
+using graphr::serveText;
 
 std::string
 serveText(const std::string &input,
@@ -580,7 +575,7 @@ TEST_F(ServeTest, TenantNamespacesIsolatePlansOnDiskAndInMemory)
 
 TEST_F(ServeTest, StatusReportsTheStdinSessionInItsConnectionsBlock)
 {
-    // A lone blocking session is connection 1 of 1; every fault-free
+    // A lone stdin session is connection 1 of 1; every fault-free
     // counter that can be zero must be zero.
     service::Server server({});
     const auto out = lines(serveText(
