@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "algorithms/pagerank.hh"
 #include "common/random.hh"
@@ -183,6 +185,157 @@ TEST(NodeFunctionalTest, FunctionalAndTimingOnlySameSchedule)
     EXPECT_EQ(a.edgesProcessed, b.edgesProcessed);
     EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
     EXPECT_DOUBLE_EQ(a.joules, b.joules);
+}
+
+// ------------------------------------------------------ output digests
+
+/** FNV-1a over the IEEE-754 bit patterns of a result vector. */
+std::uint64_t
+bitDigest(const std::vector<Value> &values)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const Value v : values) {
+        const auto bits = std::bit_cast<std::uint64_t>(v);
+        for (int i = 0; i < 8; ++i) {
+            h ^= (bits >> (8 * i)) & 0xFFu;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+/**
+ * A multigraph: R-MAT with its self-loops and duplicate edges kept,
+ * plus parallel edges of differing weights added out of input order,
+ * so cell merging (sum for MAC, min for add-op) decides results.
+ */
+CooGraph
+digestGraph()
+{
+    CooGraph g = makeRmat({.numVertices = 96,
+                           .numEdges = 1500,
+                           .maxWeight = 7.0,
+                           .seed = 41,
+                           .removeSelfLoops = false});
+    g.addEdge(3, 17, 2.0);
+    g.addEdge(5, 5, 3.0);
+    g.addEdge(3, 17, 5.0);
+    g.addEdge(40, 2, 1.0);
+    g.addEdge(3, 17, 1.0);
+    g.addEdge(40, 2, 6.0);
+    return g;
+}
+
+/** Bit digests of every functional output on digestGraph(). */
+struct OutputDigests
+{
+    std::uint64_t pagerank = 0;
+    std::uint64_t spmv = 0;
+    std::uint64_t bfs = 0;
+    std::uint64_t sssp = 0;
+    std::uint64_t wcc = 0;
+};
+
+OutputDigests
+runDigests(const GraphRConfig &cfg)
+{
+    const CooGraph g = digestGraph();
+    OutputDigests d;
+    PageRankParams params;
+    params.maxIterations = 12;
+    params.tolerance = 0.0;
+    std::vector<Value> out;
+    GraphRNode(cfg).runPageRank(g, params, &out);
+    d.pagerank = bitDigest(out);
+
+    std::vector<Value> x(g.numVertices());
+    Rng rng(9);
+    for (Value &v : x)
+        v = rng.uniform();
+    GraphRNode(cfg).runSpmv(g, x, &out);
+    d.spmv = bitDigest(out);
+
+    GraphRNode(cfg).runBfs(g, 0, &out);
+    d.bfs = bitDigest(out);
+    GraphRNode(cfg).runSssp(g, 0, &out);
+    d.sssp = bitDigest(out);
+
+    std::vector<VertexId> labels;
+    GraphRNode(cfg).runWcc(g, &labels);
+    out.assign(labels.begin(), labels.end());
+    d.wcc = bitDigest(out);
+    return d;
+}
+
+struct DigestCase
+{
+    std::uint32_t crossbarDim;
+    std::uint32_t crossbarsPerGe;
+    double sigma;
+    ProgramCharging charging;
+    OutputDigests expect;
+};
+
+/**
+ * Pinned bit digests of functional PageRank ranks, SpMV y, BFS/SSSP
+ * distances and WCC labels, variation off and on, under both
+ * program-charging policies. Any change to the functional datapath
+ * (cell merging, quantisation, MVM, reduce order, variation RNG
+ * stream) must reproduce these bit for bit.
+ */
+TEST(NodeFunctionalTest, OutputDigestsArePinned)
+{
+    const DigestCase cases[] = {
+        {4, 2, 0.0, ProgramCharging::kPerSweep,
+         {0x8a06b28e82a2e6f8ull, 0x43ed5bda2f669183ull,
+          0xcdd787642b71b69aull, 0x8250c68fa8c7569dull,
+          0x8822177c5a76539aull}},
+        {4, 2, 0.0, ProgramCharging::kOnce,
+         {0x8a06b28e82a2e6f8ull, 0x43ed5bda2f669183ull,
+          0xcdd787642b71b69aull, 0x8250c68fa8c7569dull,
+          0x8822177c5a76539aull}},
+        {4, 2, 0.3, ProgramCharging::kPerSweep,
+         {0x8b125d6fea2c4fdeull, 0x43ed5bda2f669183ull,
+          0x99c698ef4fd6ac9aull, 0xee3921e512143560ull,
+          0x8822177c5a76539aull}},
+        {4, 2, 0.3, ProgramCharging::kOnce,
+         {0x8b125d6fea2c4fdeull, 0x43ed5bda2f669183ull,
+          0x99c698ef4fd6ac9aull, 0xee3921e512143560ull,
+          0x8822177c5a76539aull}},
+        {8, 4, 0.0, ProgramCharging::kPerSweep,
+         {0x8a06b28e82a2e6f8ull, 0x43ed5bda2f669183ull,
+          0xcdd787642b71b69aull, 0x8250c68fa8c7569dull,
+          0x8822177c5a76539aull}},
+        {8, 4, 0.0, ProgramCharging::kOnce,
+         {0x8a06b28e82a2e6f8ull, 0x43ed5bda2f669183ull,
+          0xcdd787642b71b69aull, 0x8250c68fa8c7569dull,
+          0x8822177c5a76539aull}},
+        {8, 4, 0.3, ProgramCharging::kPerSweep,
+         {0x79821835a7e9027bull, 0x43ed5bda2f669183ull,
+          0x21eb5af36a19d7baull, 0xa1e838c34ea90807ull,
+          0x8822177c5a76539aull}},
+        {8, 4, 0.3, ProgramCharging::kOnce,
+         {0x79821835a7e9027bull, 0x43ed5bda2f669183ull,
+          0x21eb5af36a19d7baull, 0xa1e838c34ea90807ull,
+          0x8822177c5a76539aull}},
+    };
+    for (const DigestCase &c : cases) {
+        GraphRConfig cfg = functionalConfig();
+        cfg.tiling.crossbarDim = c.crossbarDim;
+        cfg.tiling.crossbarsPerGe = c.crossbarsPerGe;
+        cfg.variationSigma = c.sigma;
+        cfg.programCharging = c.charging;
+        const OutputDigests got = runDigests(cfg);
+        const std::string label =
+            "C=" + std::to_string(c.crossbarDim) + " sigma=" +
+            std::to_string(c.sigma) + " once=" +
+            std::to_string(c.charging == ProgramCharging::kOnce);
+        EXPECT_EQ(got.pagerank, c.expect.pagerank) << label;
+        EXPECT_EQ(got.spmv, c.expect.spmv) << label;
+        EXPECT_EQ(got.bfs, c.expect.bfs) << label;
+        EXPECT_EQ(got.sssp, c.expect.sssp) << label;
+        EXPECT_EQ(got.wcc, c.expect.wcc) << label;
+    }
 }
 
 } // namespace
