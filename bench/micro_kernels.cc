@@ -324,22 +324,30 @@ planStoreColdVsWarm(const perf::RepOptions &rep, EdgeId edges,
     return result;
 }
 
-CaseResult
-functionalPageRank(const perf::RepOptions &rep, bool resident)
+/** Tiling of the functional cases: small enough for 4k edges to span
+ *  many tiles, the GraphR default for the 1M-edge SpMV. */
+GraphRConfig
+functionalConfig(bool small_tiling)
 {
-    // Functional wall-clock, reprogram-per-sweep vs resident weights
-    // (ProgramCharging::kOnce programs each tile once per run and
-    // replays the stored crossbar state afterwards).
     GraphRConfig cfg;
-    cfg.tiling.crossbarDim = 8;
-    cfg.tiling.crossbarsPerGe = 4;
-    cfg.tiling.numGe = 4;
+    if (small_tiling) {
+        cfg.tiling.crossbarDim = 8;
+        cfg.tiling.crossbarsPerGe = 4;
+        cfg.tiling.numGe = 4;
+    }
     cfg.functional = true;
-    cfg.programCharging = resident ? ProgramCharging::kOnce
-                                   : ProgramCharging::kPerSweep;
+    return cfg;
+}
+
+CaseResult
+functionalPageRank(const perf::RepOptions &rep)
+{
+    // Functional wall-clock: ten sweeps through the crossbar datapath
+    // (each tile's image is built on the first sweep and loaded on
+    // the other nine, under either ProgramCharging).
     const CooGraph g =
         makeRmat({.numVertices = 512, .numEdges = 4096, .seed = 6});
-    GraphRNode node(cfg);
+    GraphRNode node(functionalConfig(true));
     PageRankParams params;
     params.maxIterations = 10;
     params.tolerance = 0.0;
@@ -348,7 +356,26 @@ functionalPageRank(const perf::RepOptions &rep, bool resident)
         perf::doNotOptimize(node.runPageRank(g, params).seconds);
     });
     result.itemsPerIter = g.numEdges() * 10;
-    result.label = resident ? "resident" : "reprogram";
+    return result;
+}
+
+CaseResult
+functionalSpmv(const perf::RepOptions &rep, EdgeId edges)
+{
+    // One functional SpMV at the default tiling: every tile imaged,
+    // loaded and evaluated once (the plan comes from the plan cache
+    // after the warmup).
+    const CooGraph g = makeRmat({.numVertices =
+                                     static_cast<VertexId>(edges / 16),
+                                 .numEdges = edges,
+                                 .seed = 8});
+    GraphRNode node(functionalConfig(false));
+    const std::vector<Value> x(g.numVertices(), 1.0);
+    CaseResult result;
+    result.stats = timeLoop(rep, 1, [&] {
+        perf::doNotOptimize(node.runSpmv(g, x).seconds);
+    });
+    result.itemsPerIter = edges;
     return result;
 }
 
@@ -499,12 +526,12 @@ allCases()
                 [e, warm](const RepOptions &r) {
                     return planStoreColdVsWarm(r, e, warm);
                 });
-    for (const bool resident : {false, true})
-        add(std::string("functional_pagerank/") +
-                (resident ? "resident" : "reprogram"),
-            [resident](const RepOptions &r) {
-                return functionalPageRank(r, resident);
-            });
+    add("functional_pagerank/4096", [](const RepOptions &r) {
+        return functionalPageRank(r);
+    });
+    add("functional_spmv/1000000", [](const RepOptions &r) {
+        return functionalSpmv(r, 1000000);
+    });
     add("node_pagerank_sweep/100000", [](const RepOptions &r) {
         return nodePageRankSweep(r, 100000);
     });

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
 #include <span>
 
 #include "common/logging.hh"
+#include "perf/counters.hh"
 #include "rram/graph_engine.hh"
 
 namespace graphr
@@ -29,6 +29,16 @@ activeMask(const std::vector<bool> &active, std::uint64_t row0,
     return mask;
 }
 
+/** Tile images built by functional walks, process-wide: the count
+ *  that causes functional programming time (gated by the bench). */
+perf::Counter &
+tileProgramsCounter()
+{
+    static perf::Counter &counter =
+        perf::Registry::instance().counter("functional.tile_programs");
+    return counter;
+}
+
 /** Price accumulated events and fill the shared report fields. */
 void
 finalizeReport(SimReport &report, const DeviceParams &device,
@@ -46,26 +56,43 @@ finalizeReport(SimReport &report, const DeviceParams &device,
 
 } // namespace
 
-/** Functional MAC state: scratch ledger, GE array, resident tiles. */
-struct TileExecutor::MacDatapath
+/**
+ * Functional GE state of one run, sized once when it is built: a
+ * scratch ledger (reports are priced by the cost model), the GE array,
+ * one image slot per plan tile, and the sweep scratch. Nothing on the
+ * per-tile path allocates after the first sweep.
+ */
+struct TileExecutor::Datapath
 {
     EnergyLedger scratch;
     GraphEngineArray ge;
-    /** Per-tile resident snapshot (ProgramCharging::kOnce only). */
-    std::vector<std::optional<TileSnapshot>> resident;
+    /** Image of plan tile t, built on the tile's first visit (a
+     *  non-empty tile has >= 1 cell, so empty means not yet built). */
+    std::vector<TileImage> images;
+    /** Per-edge programmed weights of the tile being imaged. */
+    std::vector<double> weights;
+    /** Inputs of the tile's C rows. */
+    std::vector<double> inRows;
+    /** Occupied-crossbar outputs of one MVM or add-op read. */
+    std::vector<double> partial;
 
-    MacDatapath(const GraphRConfig &config, std::size_t num_tiles,
-                bool resident_mode, bool apply_variation)
+    Datapath(const GraphRConfig &config, const TilePlan &plan,
+             bool apply_variation, SaluOp op)
         : scratch(config.device),
           ge(config.tiling.crossbarDim,
              config.tiling.crossbarsPerGe * config.tiling.numGe,
-             config.device, scratch)
+             config.device, scratch),
+          images(plan.meta.tiles().size()),
+          inRows(config.tiling.crossbarDim, 0.0)
     {
         if (apply_variation && config.variationSigma > 0.0)
             ge.setVariation(config.variationSigma, config.variationSeed);
-        ge.salu().configure(SaluOp::kAdd);
-        if (resident_mode)
-            resident.resize(num_tiles);
+        ge.salu().configure(op);
+        std::uint64_t max_nnz = 0;
+        for (const TileMeta &meta : plan.meta.tiles())
+            max_nnz = std::max(max_nnz, meta.nnz);
+        weights.reserve(max_nnz);
+        partial.reserve(ge.tileWidth());
     }
 };
 
@@ -73,6 +100,13 @@ TileExecutor::TileExecutor(const GraphRConfig &config, TilePlanPtr plan)
     : config_(config), costModel_(config), plan_(std::move(plan))
 {
     GRAPHR_ASSERT(plan_ != nullptr, "executor needs a plan");
+}
+
+void
+TileExecutor::countTileProgram()
+{
+    ++stats_.functionalTilePrograms;
+    tileProgramsCounter().add();
 }
 
 TileExecutor::~TileExecutor() = default;
@@ -164,48 +198,53 @@ TileExecutor::functionalMacSweep(const MacSpec &spec,
     GRAPHR_ASSERT(accum.size() == nv, "accumulator length ",
                   accum.size(), " != input length ", nv);
     if (!mac_) {
-        mac_ = std::make_unique<MacDatapath>(
-            config_, plan_->meta.tiles().size(), residentWeights(),
-            spec.applyVariation);
+        mac_ = std::make_unique<Datapath>(config_, *plan_,
+                                          spec.applyVariation,
+                                          SaluOp::kAdd);
     }
-    GraphEngineArray &ge = mac_->ge;
+    Datapath &dp = *mac_;
+    GraphEngineArray &ge = dp.ge;
+    const std::uint32_t dim = config_.tiling.crossbarDim;
 
-    std::vector<Edge> scaled;
-    std::vector<double> in_rows(config_.tiling.crossbarDim, 0.0);
-    std::vector<double> partial; // reused across tiles (hot loop)
     const std::vector<TileMeta> &tiles = plan_->meta.tiles();
     for (std::size_t t = 0; t < tiles.size(); ++t) {
         const TileMeta &meta = tiles[t];
-        if (residentWeights() && mac_->resident[t].has_value()) {
-            ge.loadTile(*mac_->resident[t]);
-            ++stats_.functionalTileLoads;
-        } else {
-            const TileSpan &span = plan_->ordered.tiles()[t];
-            std::span<const Edge> tile_edges =
-                plan_->ordered.tileEdges(span);
-            if (spec.edgeScale) {
-                scaled.clear();
-                for (const Edge &e : tile_edges)
-                    scaled.push_back(
-                        Edge{e.src, e.dst, spec.edgeScale(e)});
-                tile_edges = scaled;
+        TileImage &image = dp.images[t];
+        if (image.empty()) {
+            const std::span<const Edge> edges =
+                plan_->ordered.tileEdges(plan_->ordered.tiles()[t]);
+            dp.weights.clear();
+            if (!spec.srcDivisor.empty()) {
+                for (const Edge &e : edges) {
+                    const double numerator =
+                        spec.uniformNumerator.value_or(e.weight);
+                    dp.weights.push_back(
+                        numerator /
+                        static_cast<double>(spec.srcDivisor[e.src]));
+                }
             }
-            ge.programTile(tile_edges, meta.row0, meta.col0,
-                           config_.weightFracBits);
-            ++stats_.functionalTilePrograms;
-            if (residentWeights())
-                mac_->resident[t] = ge.saveTile(config_.weightFracBits);
+            image = ge.makeImage(edges, dp.weights, meta.row0,
+                                 meta.col0, config_.weightFracBits,
+                                 CombineMode::kSum);
+            countTileProgram();
         }
-        for (std::uint32_t r = 0; r < config_.tiling.crossbarDim; ++r) {
+        ge.loadImage(image);
+        for (std::uint32_t r = 0; r < dim; ++r) {
             const std::uint64_t v = meta.row0 + r;
-            in_rows[r] = v < nv ? input[v] : 0.0;
+            dp.inRows[r] = v < nv ? input[v] : 0.0;
         }
-        ge.runMacInto(in_rows, config_.inputFracBits,
-                      config_.weightFracBits, partial);
-        for (std::uint64_t c = 0; c < partial.size(); ++c) {
-            const std::uint64_t v = meta.col0 + c;
-            if (v < nv && partial[c] != 0.0)
-                accum[v] = ge.salu().reduce(accum[v], partial[c]);
+        ge.runMacInto(dp.inRows, config_.inputFracBits,
+                      config_.weightFracBits, dp.partial);
+        // Only occupied crossbars can produce a nonzero column.
+        const double *col = dp.partial.data();
+        for (const std::uint32_t cb : ge.occupiedCrossbars()) {
+            const std::uint64_t v0 =
+                meta.col0 + std::uint64_t{cb} * dim;
+            for (std::uint32_t c = 0; c < dim; ++c, ++col) {
+                const std::uint64_t v = v0 + c;
+                if (v < nv && *col != 0.0)
+                    accum[v] = ge.salu().reduce(accum[v], *col);
+            }
         }
     }
 }
@@ -314,28 +353,16 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
     const VertexId nv = graph.numVertices();
     const std::uint32_t dim = config_.tiling.crossbarDim;
 
-    EnergyLedger scratch(config_.device);
-    GraphEngineArray ge(dim,
-                        config_.tiling.crossbarsPerGe *
-                            config_.tiling.numGe,
-                        config_.device, scratch);
-    if (config_.variationSigma > 0.0)
-        ge.setVariation(config_.variationSigma, config_.variationSeed);
-    ge.salu().configure(SaluOp::kMin);
-
+    Datapath dp(config_, *plan_, /*apply_variation=*/true,
+                SaluOp::kMin);
+    GraphEngineArray &ge = dp.ge;
     const std::vector<TileMeta> &tiles = plan_->meta.tiles();
-    // Resident mode: a tile is programmed on its first activation and
-    // replayed on every later one.
-    std::vector<std::optional<TileSnapshot>> snapshots(
-        residentWeights() ? tiles.size() : 0);
 
     std::vector<Value> dist = spec.initLabels;
     std::vector<bool> active = spec.initActive;
     std::uint64_t active_count = 0;
     for (const bool a : active)
         active_count += a ? 1 : 0;
-    std::vector<Edge> rewritten_edges;
-    std::vector<double> cand; // reused across rows (hot loop)
 
     while (active_count > 0) {
         std::vector<Value> next = dist;
@@ -345,31 +372,25 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
                 meta.rowMask & activeMask(active, meta.row0, dim);
             if (mask == 0)
                 continue;
-            if (residentWeights() && snapshots[t].has_value()) {
-                ge.loadTile(*snapshots[t]);
-                ++stats_.functionalTileLoads;
-            } else {
-                const TileSpan &span = plan_->ordered.tiles()[t];
-                std::span<const Edge> tile_edges =
-                    plan_->ordered.tileEdges(span);
+            TileImage &image = dp.images[t];
+            if (image.empty()) {
+                const std::span<const Edge> edges =
+                    plan_->ordered.tileEdges(plan_->ordered.tiles()[t]);
+                dp.weights.clear();
                 if (spec.mode != WeightMode::kOriginal) {
-                    rewritten_edges.assign(tile_edges.begin(),
-                                           tile_edges.end());
-                    const double w =
-                        spec.mode == WeightMode::kUnit ? 1.0 : 0.0;
-                    for (Edge &e : rewritten_edges)
-                        e.weight = w;
-                    tile_edges = rewritten_edges;
+                    dp.weights.assign(
+                        edges.size(),
+                        spec.mode == WeightMode::kUnit ? 1.0 : 0.0);
                 }
                 // Integer distances/weights: 0 fractional bits is
                 // exact. Parallel edges merge with min (relaxation
-                // semantics).
-                ge.programTile(tile_edges, meta.row0, meta.col0, 0,
-                               CombineMode::kMin);
-                ++stats_.functionalTilePrograms;
-                if (residentWeights())
-                    snapshots[t] = ge.saveTile(0);
+                // semantics). A tile's image is built on its first
+                // activation.
+                image = ge.makeImage(edges, dp.weights, meta.row0,
+                                     meta.col0, 0, CombineMode::kMin);
+                countTileProgram();
             }
+            ge.loadImage(image);
             std::uint64_t m = mask;
             while (m != 0) {
                 const int r = std::countr_zero(m);
@@ -377,11 +398,16 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
                 ge.runAddOpInto(
                     static_cast<std::uint32_t>(r),
                     dist[meta.row0 + static_cast<std::uint64_t>(r)],
-                    0, cand);
-                for (std::uint64_t c = 0; c < cand.size(); ++c) {
-                    const std::uint64_t v = meta.col0 + c;
-                    if (v < nv && cand[c] < kInfDistance)
-                        next[v] = ge.salu().reduce(next[v], cand[c]);
+                    0, dp.partial);
+                const double *cand = dp.partial.data();
+                for (const std::uint32_t cb : ge.occupiedCrossbars()) {
+                    const std::uint64_t v0 =
+                        meta.col0 + std::uint64_t{cb} * dim;
+                    for (std::uint32_t c = 0; c < dim; ++c, ++cand) {
+                        const std::uint64_t v = v0 + c;
+                        if (v < nv && *cand < kInfDistance)
+                            next[v] = ge.salu().reduce(next[v], *cand);
+                    }
                 }
             }
         }

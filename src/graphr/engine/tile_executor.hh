@@ -15,11 +15,11 @@
  *  - AddOpSpec describes a parallel-add-op relaxation (BFS, SSSP,
  *    WCC): initial labels, initial active set, weight mode.
  *
- * Under ProgramCharging::kOnce the functional path programs each tile
- * exactly once per run and replays the resident crossbar state on
- * later visits (TileSnapshot), matching the modelled program-once
- * semantics instead of re-paying the programming work every
- * iteration.
+ * The functional path programs each tile once per run, under either
+ * ProgramCharging: programming draws no randomness, so a tile's cell
+ * image (GraphEngineArray::makeImage) is the same on every visit and
+ * is kept for the whole run. ProgramCharging only decides what the
+ * cost model charges (macReport, addOpRun's timing walk).
  */
 
 #ifndef GRAPHR_GRAPHR_ENGINE_TILE_EXECUTOR_HH
@@ -27,6 +27,8 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "algorithms/traversal.hh"
@@ -47,10 +49,14 @@ struct MacSpec
     /** MVM evaluations per programmed tile per sweep (CF: features). */
     std::uint32_t passesPerTile = 1;
     /**
-     * Functional only: programmed weight of one edge (e.g. PageRank
-     * programs damping / outDegree(src)). Null keeps raw weights.
+     * Functional only: per-source divisor of the programmed weight
+     * (PageRank and SpMV pass the out-degrees). An edge programs
+     * `numerator / static_cast<double>(srcDivisor[e.src])`, where the
+     * numerator is uniformNumerator when set (PageRank's damping) and
+     * the edge weight otherwise. Empty programs the edge weights.
      */
-    std::function<double(const Edge &)> edgeScale;
+    std::span<const EdgeId> srcDivisor;
+    std::optional<double> uniformNumerator;
     /**
      * Apply the configured cell-programming variation to this
      * schedule's functional datapath. SpMV turns it off: it is the
@@ -79,17 +85,16 @@ struct EngineStats
 {
     /** Whether the plan came out of the PlanCache (set by callers). */
     bool planCacheHit = false;
-    /** Functional programTile() calls (crossbar write phases). */
+    /** Tile images built (crossbar write phases): at most one per
+     *  non-empty tile per run, under either ProgramCharging. */
     std::uint64_t functionalTilePrograms = 0;
-    /** Resident-snapshot replays that replaced a reprogram. */
-    std::uint64_t functionalTileLoads = 0;
 };
 
 /**
  * Walks one TilePlan for one run. Construct per run (cheap — the
  * heavy state is the shared plan); the same instance serves the
- * timing report and any functional sweeps of that run so resident
- * weights persist across iterations.
+ * timing report and any functional sweeps of that run so tile images
+ * persist across sweeps.
  *
  * Preconditions: @p config has passed GraphRConfig::validate (the
  * backends validate at construction) and its tiling matches the one
@@ -120,10 +125,11 @@ class TileExecutor
     SimReport macReport(const MacSpec &spec) const;
 
     /**
-     * One functional MAC sweep over every tile of the plan:
-     * program (or, resident, reload) each tile, apply the matching
-     * rows of @p input, and sALU-reduce the partial column sums into
-     * @p accum. Both vectors are indexed by absolute vertex id.
+     * One functional MAC sweep over every tile of the plan: load
+     * each tile's image (built on the run's first sweep), apply the
+     * matching rows of @p input, and sALU-reduce the occupied
+     * columns' partial sums into @p accum. Both vectors are indexed
+     * by absolute vertex id.
      */
     void functionalMacSweep(const MacSpec &spec,
                             const std::vector<Value> &input,
@@ -143,13 +149,10 @@ class TileExecutor
     const EngineStats &stats() const { return stats_; }
 
   private:
-    struct MacDatapath; ///< functional GE state (lazily built)
+    struct Datapath; ///< functional GE state and run workspace
 
-    bool
-    residentWeights() const
-    {
-        return config_.programCharging == ProgramCharging::kOnce;
-    }
+    /** Count one tile image built (stats and the perf registry). */
+    void countTileProgram();
 
     /** Functional GE execution of the relaxation to convergence. */
     std::vector<Value> functionalAddOpSolve(const CooGraph &graph,
@@ -158,7 +161,7 @@ class TileExecutor
     GraphRConfig config_;
     CostModel costModel_;
     TilePlanPtr plan_;
-    std::unique_ptr<MacDatapath> mac_;
+    std::unique_ptr<Datapath> mac_; ///< built on the first MAC sweep
     EngineStats stats_;
 };
 

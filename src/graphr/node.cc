@@ -58,14 +58,12 @@ GraphRNode::runPageRank(const CooGraph &graph,
     if (config_.functional) {
         // Execute through the modelled analog datapath. The
         // programmed weight of an edge is its PageRank contribution
-        // factor — constant across iterations, so resident tiles
-        // (ProgramCharging::kOnce) are programmed once per run.
+        // factor damping / outdeg(src) — constant across iterations,
+        // so each tile is programmed once per run.
         const VertexId nv = graph.numVertices();
         const std::vector<EdgeId> &out_deg = graph.outDegrees();
-        spec.edgeScale = [damping = params.damping,
-                          &out_deg](const Edge &e) {
-            return damping / static_cast<double>(out_deg[e.src]);
-        };
+        spec.srcDivisor = out_deg;
+        spec.uniformNumerator = params.damping;
 
         ranks.assign(nv, 1.0 / static_cast<double>(nv));
         for (int iter = 0; iter < params.maxIterations; ++iter) {
@@ -119,9 +117,7 @@ GraphRNode::runSpmv(const CooGraph &graph, const std::vector<Value> &x,
 
     std::vector<Value> y;
     if (config_.functional) {
-        spec.edgeScale = [&out_deg = graph.outDegrees()](const Edge &e) {
-            return e.weight / static_cast<double>(out_deg[e.src]);
-        };
+        spec.srcDivisor = graph.outDegrees(); // weight / outdeg(src)
         y.assign(graph.numVertices(), 0.0);
         exec.functionalMacSweep(spec, x, y);
     } else {

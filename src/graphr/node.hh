@@ -97,7 +97,7 @@ class GraphRNode
 
     /**
      * Engine counters of the most recent run* call: plan-cache hit,
-     * functional tile programs/loads. Test and bench visibility only
+     * functional tile programs. Test and bench visibility only
      * — not part of the SimReport.
      */
     const EngineStats &lastEngineStats() const { return lastStats_; }

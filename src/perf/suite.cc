@@ -15,6 +15,7 @@
 #include "driver/driver.hh"
 #include "graphr/engine/golden_cache.hh"
 #include "graphr/engine/plan_cache.hh"
+#include "graphr/node.hh"
 #include "common/random.hh"
 #include "net/event_loop.hh"
 #include "net/listener.hh"
@@ -511,6 +512,36 @@ crossbarScenario(SuiteBuilder &b, const std::string &prefix)
              false, "higher");
 }
 
+/**
+ * The functional-datapath scenario: PageRank through the modelled
+ * crossbars (GraphRConfig::functional) on a pinned graph. Wall clock
+ * is the ungated trajectory; the gate keys on the two counts that
+ * cause it — tile images built per repetition (one per non-empty
+ * tile, under either ProgramCharging) and occupied wordlines read by
+ * crossbar MVMs.
+ */
+void
+functionalScenario(SuiteBuilder &b, const std::string &prefix,
+                   const std::string &dataset_spec)
+{
+    FingerprintCheck fp(dataset_spec);
+    const driver::ResolvedDataset dataset = fp.resolve();
+    GraphRConfig config;
+    config.functional = true;
+    GraphRNode node(config);
+    PageRankParams params;
+    params.maxIterations = 10;
+    params.tolerance = 0.0;
+    const RepStats stats = b.timed(prefix + ".wall_s", [&] {
+        doNotOptimize(node.runPageRank(dataset.graph, params).seconds);
+    });
+    b.scalar(prefix + ".tile_programs_per_rep",
+             stats.perRep("functional.tile_programs"), "count", true);
+    b.scalar(prefix + ".mvm_rows_per_rep",
+             stats.perRep("crossbar.mvm_rows_processed"), "count",
+             true);
+}
+
 /** The pinned-seed invariant as an explicit gated trajectory point. */
 void
 fingerprintScenario(SuiteBuilder &b, const std::string &prefix,
@@ -543,6 +574,8 @@ suiteSmall(SuiteBuilder &b)
     fingerprintScenario(b, "dataset.rmat_small",
                         "rmat:vertices=256,edges=2048,seed=3");
     crossbarScenario(b, "crossbar.small");
+    functionalScenario(b, "functional.small",
+                       "rmat:vertices=256,edges=2048,seed=3");
     sweepScenario(b, "sweep.small", smallSweepSpec());
     storeScenario(b, "store.small",
                   "rmat:vertices=2048,edges=16384,seed=7");

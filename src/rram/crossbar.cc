@@ -78,12 +78,15 @@ Crossbar::programValue(std::uint32_t row, std::uint32_t col,
         rowMask_[row >> 6] |= std::uint64_t{1} << (row & 63);
 }
 
-std::vector<std::uint64_t>
-Crossbar::mvmRaw(const std::vector<FixedPoint::Raw> &input_raw) const
+void
+Crossbar::mvmRawInto(std::span<const FixedPoint::Raw> input_raw,
+                     std::span<std::uint64_t> columns) const
 {
     GRAPHR_ASSERT(input_raw.size() == dim_, "input length ",
                   input_raw.size(), " != crossbar dim ", dim_);
-    std::vector<std::uint64_t> columns(dim_, 0);
+    GRAPHR_ASSERT(columns.size() == dim_, "output length ",
+                  columns.size(), " != crossbar dim ", dim_);
+    std::fill(columns.begin(), columns.end(), std::uint64_t{0});
 
     // Unoccupied wordlines hold only level-0 cells: they contribute
     // nothing to any bitline and never consume a variation RNG draw,
@@ -92,7 +95,7 @@ Crossbar::mvmRaw(const std::vector<FixedPoint::Raw> &input_raw) const
     // bit-exact and RNG-neutral. An empty crossbar skips the column
     // loops and S/A recombination entirely.
     if (!anyRowOccupied())
-        return columns;
+        return;
     mvmRowsCounter().add(maskedRowCount());
 
     if (variationSigma_ <= 0.0) {
@@ -114,7 +117,7 @@ Crossbar::mvmRaw(const std::vector<FixedPoint::Raw> &input_raw) const
                     static_cast<std::size_t>(row) * dim_,
                 dim_, in, columns.data());
         });
-        return columns;
+        return;
     }
 
     // Variation path: the hardware-shaped slice-serial walk, kept
@@ -141,30 +144,38 @@ Crossbar::mvmRaw(const std::vector<FixedPoint::Raw> &input_raw) const
             columns[col] += combined << (in_s * kCellBits);
         }
     }
+}
+
+std::vector<std::uint64_t>
+Crossbar::mvmRaw(const std::vector<FixedPoint::Raw> &input_raw) const
+{
+    std::vector<std::uint64_t> columns(dim_);
+    mvmRawInto(input_raw, columns);
     return columns;
 }
 
-std::vector<FixedPoint::Raw>
-Crossbar::selectRow(std::uint32_t row) const
+void
+Crossbar::selectRowInto(std::uint32_t row,
+                        std::span<FixedPoint::Raw> out) const
 {
     GRAPHR_ASSERT(row < dim_, "row ", row, " outside crossbar");
-    std::vector<FixedPoint::Raw> out(dim_, 0);
+    GRAPHR_ASSERT(out.size() == dim_, "output length ", out.size(),
+                  " != crossbar dim ", dim_);
     // An unoccupied wordline reads all-zero without touching the RNG
     // (level-0 cells are exact), so skip its per-column slice
     // recombination outright.
-    if (!rowMayHoldNonzero(row))
-        return out;
+    if (!rowMayHoldNonzero(row)) {
+        std::fill(out.begin(), out.end(), FixedPoint::Raw{0});
+        return;
+    }
+    const std::size_t row_off = static_cast<std::size_t>(row) * dim_;
     if (variationSigma_ <= 0.0) {
         // Exact read: the packed raw plane already holds the
         // recombined wordline — one contiguous copy.
-        const std::size_t row_off =
-            static_cast<std::size_t>(row) * dim_;
-        std::copy(rawPlane_.begin() +
-                      static_cast<std::ptrdiff_t>(row_off),
-                  rawPlane_.begin() +
-                      static_cast<std::ptrdiff_t>(row_off + dim_),
-                  out.begin());
-        return out;
+        std::copy_n(rawPlane_.begin() +
+                        static_cast<std::ptrdiff_t>(row_off),
+                    dim_, out.begin());
+        return;
     }
     for (std::uint32_t col = 0; col < dim_; ++col) {
         FixedPoint::Raw raw = 0;
@@ -174,6 +185,13 @@ Crossbar::selectRow(std::uint32_t row) const
         }
         out[col] = raw;
     }
+}
+
+std::vector<FixedPoint::Raw>
+Crossbar::selectRow(std::uint32_t row) const
+{
+    std::vector<FixedPoint::Raw> out(dim_);
+    selectRowInto(row, out);
     return out;
 }
 

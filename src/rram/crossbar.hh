@@ -33,6 +33,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/fixed_point.hh"
@@ -91,16 +92,26 @@ class Crossbar
      * packed raw plane — bit-identical to the slice-serial walk.
      *
      * @param input_raw one raw 16-bit input per wordline
-     * @return 64-bit integer column sums (full precision)
+     * @param columns receives the dim() 64-bit integer column sums
+     *        (full precision); caller-owned, so the hot tile walk
+     *        allocates nothing per call
      */
+    void mvmRawInto(std::span<const FixedPoint::Raw> input_raw,
+                    std::span<std::uint64_t> columns) const;
+
+    /** mvmRawInto() returning a fresh vector (tests, micro-benches). */
     std::vector<std::uint64_t>
     mvmRaw(const std::vector<FixedPoint::Raw> &input_raw) const;
 
     /**
-     * Row-selected read for the parallel add-op pattern: returns the
-     * raw stored values of one wordline (an SpMV with a one-hot input
-     * vector, as in paper Fig. 16(c)).
+     * Row-selected read for the parallel add-op pattern: the raw
+     * stored values of one wordline (an SpMV with a one-hot input
+     * vector, as in paper Fig. 16(c)), into dim() caller-owned slots.
      */
+    void selectRowInto(std::uint32_t row,
+                       std::span<FixedPoint::Raw> out) const;
+
+    /** selectRowInto() returning a fresh vector. */
     std::vector<FixedPoint::Raw> selectRow(std::uint32_t row) const;
 
     /**

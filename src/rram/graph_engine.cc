@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
+#include <limits>
+#include <numeric>
 
 #include "common/logging.hh"
 
@@ -16,30 +17,115 @@ GraphEngineArray::GraphEngineArray(std::uint32_t crossbar_dim,
     : crossbarDim_(crossbar_dim), params_(params), ledger_(ledger)
 {
     GRAPHR_ASSERT(num_crossbars > 0, "need >= 1 crossbar");
+    GRAPHR_ASSERT(crossbarDim_ <= 64,
+                  "presence words support crossbars up to 64x64");
+    GRAPHR_ASSERT(static_cast<std::uint64_t>(crossbar_dim) *
+                          num_crossbars <=
+                      std::numeric_limits<std::uint32_t>::max(),
+                  "tile width must fit an image cell's column");
     crossbars_.reserve(num_crossbars);
     for (std::uint32_t i = 0; i < num_crossbars; ++i)
         crossbars_.emplace_back(crossbar_dim, params);
-    present_.assign(static_cast<std::size_t>(crossbarDim_) * tileWidth(),
-                    false);
-    crossbarNnz_.assign(crossbars_.size(), 0);
+    presence_.assign(static_cast<std::size_t>(crossbarDim_) *
+                         num_crossbars,
+                     0);
+    occupied_.reserve(num_crossbars);
+    rawIn_.resize(crossbarDim_);
+    columnSums_.resize(crossbarDim_);
+    rowRead_.resize(crossbarDim_);
+}
+
+TileImage
+GraphEngineArray::makeImage(std::span<const Edge> edges,
+                            std::span<const double> weights,
+                            std::uint64_t row0, std::uint64_t col0,
+                            int weight_frac_bits,
+                            CombineMode combine) const
+{
+    GRAPHR_ASSERT(weights.empty() || weights.size() == edges.size(),
+                  "weights length ", weights.size(), " != edges ",
+                  edges.size());
+    // Tile-order key of an edge's cell: column-major, as the
+    // preprocessing sort lays a tile out.
+    const auto key = [&](const Edge &e) {
+        GRAPHR_ASSERT(e.src >= row0 && e.src - row0 < crossbarDim_,
+                      "edge row ", e.src, " outside tile at ", row0);
+        GRAPHR_ASSERT(e.dst >= col0 && e.dst - col0 < tileWidth(),
+                      "edge col ", e.dst, " outside tile at ", col0);
+        return (e.dst - col0) * crossbarDim_ + (e.src - row0);
+    };
+
+    // Visit order: the input order when it is already tile order,
+    // else a stable sort into it — stable, so parallel edges still
+    // combine in input order.
+    std::vector<std::uint32_t> order;
+    for (std::size_t i = 1; i < edges.size(); ++i) {
+        if (key(edges[i]) < key(edges[i - 1])) {
+            order.resize(edges.size());
+            std::iota(order.begin(), order.end(), 0u);
+            std::stable_sort(order.begin(), order.end(),
+                             [&](std::uint32_t a, std::uint32_t b) {
+                                 return key(edges[a]) < key(edges[b]);
+                             });
+            break;
+        }
+    }
+
+    TileImage image;
+    image.reserve(edges.size());
+    std::uint64_t cell_key = 0;
+    double merged = 0.0;
+    const auto emit = [&] {
+        image.push_back(ImageCell{
+            static_cast<std::uint32_t>(cell_key / crossbarDim_),
+            FixedPoint::quantize(merged, weight_frac_bits).raw(),
+            static_cast<std::uint8_t>(cell_key % crossbarDim_)});
+    };
+    for (std::size_t n = 0; n < edges.size(); ++n) {
+        const std::size_t i = order.empty() ? n : order[n];
+        const double w = weights.empty() ? edges[i].weight : weights[i];
+        const std::uint64_t k = key(edges[i]);
+        if (n > 0 && k == cell_key) {
+            // A crossbar cell holds one value: merge parallel edges.
+            merged = combine == CombineMode::kSum ? merged + w
+                                                  : std::min(merged, w);
+            continue;
+        }
+        if (n > 0)
+            emit();
+        cell_key = k;
+        merged = w;
+    }
+    if (!edges.empty())
+        emit();
+    return image;
 }
 
 void
-GraphEngineArray::clearProgrammedState()
+GraphEngineArray::loadImage(const TileImage &image)
 {
-    for (std::size_t cb = 0; cb < crossbars_.size(); ++cb) {
-        if (crossbarNnz_[cb] == 0)
-            continue;
+    for (const std::uint32_t cb : occupied_) {
         crossbars_[cb].clear();
-        crossbarNnz_[cb] = 0;
+        std::fill_n(&presence(cb, 0), crossbarDim_, std::uint64_t{0});
     }
-    std::fill(present_.begin(), present_.end(), false);
-}
-
-bool
-GraphEngineArray::presentAt(std::uint32_t row, std::uint64_t col) const
-{
-    return present_[static_cast<std::size_t>(row) * tileWidth() + col];
+    occupied_.clear();
+    for (const ImageCell &cell : image) {
+        const std::uint32_t cb = cell.col / crossbarDim_;
+        const std::uint32_t c = cell.col % crossbarDim_;
+        if (occupied_.empty() || occupied_.back() != cb) {
+            GRAPHR_ASSERT(occupied_.empty() || cb > occupied_.back(),
+                          "tile image cells out of tile order");
+            occupied_.push_back(cb);
+        }
+        std::uint64_t &word = presence(cb, cell.row);
+        const std::uint64_t bit = std::uint64_t{1} << c;
+        GRAPHR_ASSERT((word & bit) == 0, "tile image programs cell (",
+                      static_cast<unsigned>(cell.row), ",", cell.col,
+                      ") twice");
+        word |= bit;
+        crossbars_[cb].programValue(cell.row, c,
+                                    FixedPoint::fromRaw(cell.raw, 0));
+    }
 }
 
 TileActivity
@@ -47,73 +133,23 @@ GraphEngineArray::programTile(std::span<const Edge> edges,
                               std::uint64_t row0, std::uint64_t col0,
                               int weight_frac_bits, CombineMode combine)
 {
-    clearProgrammedState();
-
-    GRAPHR_ASSERT(crossbarDim_ <= 64,
-                  "row bitmap supports crossbars up to 64x64");
+    loadImage(makeImage(edges, {}, row0, col0, weight_frac_bits,
+                        combine));
     TileActivity activity;
-    // Per-crossbar row bitmap to account serial row writes.
-    std::vector<std::uint64_t> rows_touched(crossbars_.size(), 0);
-
-    // A crossbar cell holds one value: merge parallel edges first
-    // (sum for additive reduces, min for relaxation).
-    std::unordered_map<std::uint64_t, double> cells;
-    cells.reserve(edges.size());
-    for (const Edge &e : edges) {
-        GRAPHR_ASSERT(e.src >= row0 && e.src - row0 < crossbarDim_,
-                      "edge row ", e.src, " outside tile at ", row0);
-        GRAPHR_ASSERT(e.dst >= col0 && e.dst - col0 < tileWidth(),
-                      "edge col ", e.dst, " outside tile at ", col0);
-        const auto row = static_cast<std::uint32_t>(e.src - row0);
-        const std::uint64_t col = e.dst - col0;
-        const std::uint64_t key =
-            static_cast<std::uint64_t>(row) * tileWidth() + col;
-        auto [it, inserted] = cells.try_emplace(key, e.weight);
-        if (!inserted) {
-            it->second = combine == CombineMode::kSum
-                             ? it->second + e.weight
-                             : std::min(it->second, e.weight);
-        }
-        ++activity.cellWrites;
-    }
-
-    for (const auto &[key, weight] : cells) {
-        const auto row =
-            static_cast<std::uint32_t>(key / tileWidth());
-        const std::uint64_t col = key % tileWidth();
-        const auto cb_index = static_cast<std::size_t>(col / crossbarDim_);
-        const auto cb_col = static_cast<std::uint32_t>(col % crossbarDim_);
-        crossbars_[cb_index].programValue(
-            row, cb_col, FixedPoint::quantize(weight, weight_frac_bits));
-        present_[key] = true;
-        ++crossbarNnz_[cb_index];
-        rows_touched[cb_index] |= (std::uint64_t{1} << row);
-    }
-
-    for (std::size_t cb = 0; cb < crossbars_.size(); ++cb) {
-        if (rows_touched[cb] == 0)
-            continue;
-        ++activity.crossbarsUsed;
-        const auto rows = static_cast<std::uint32_t>(
-            std::popcount(rows_touched[cb]));
-        activity.maxRowsProgrammed =
-            std::max(activity.maxRowsProgrammed, rows);
+    activity.cellWrites = edges.size();
+    activity.crossbarsUsed = static_cast<std::uint32_t>(occupied_.size());
+    for (const std::uint32_t cb : occupied_) {
         // One array write op programs a whole occupied wordline (all
         // bitlines, hence all slices of the row's values) at once.
+        std::uint32_t rows = 0;
+        for (std::uint32_t r = 0; r < crossbarDim_; ++r)
+            rows += presence(cb, r) != 0 ? 1u : 0u;
+        activity.maxRowsProgrammed =
+            std::max(activity.maxRowsProgrammed, rows);
         activity.rowWriteOps += rows;
     }
-
     ledger_.events().arrayWrites += activity.rowWriteOps;
     return activity;
-}
-
-std::vector<double>
-GraphEngineArray::runMac(const std::vector<double> &input,
-                         int input_frac_bits, int weight_frac_bits)
-{
-    std::vector<double> out;
-    runMacInto(input, input_frac_bits, weight_frac_bits, out);
-    return out;
 }
 
 void
@@ -123,51 +159,34 @@ GraphEngineArray::runMacInto(const std::vector<double> &input,
 {
     GRAPHR_ASSERT(input.size() == crossbarDim_, "input length ",
                   input.size(), " != C ", crossbarDim_);
-
-    rawInScratch_.resize(crossbarDim_);
-    std::vector<FixedPoint::Raw> &raw_in = rawInScratch_;
     for (std::uint32_t r = 0; r < crossbarDim_; ++r)
-        raw_in[r] = FixedPoint::quantize(input[r], input_frac_bits).raw();
+        rawIn_[r] = FixedPoint::quantize(input[r], input_frac_bits).raw();
 
     const double scale =
         static_cast<double>(1u << input_frac_bits) *
         static_cast<double>(1u << weight_frac_bits);
 
-    out.assign(tileWidth(), 0.0);
-    std::uint64_t reads = 0;
-    std::uint64_t samples = 0;
-    for (std::size_t cb = 0; cb < crossbars_.size(); ++cb) {
-        // Empty crossbars contribute all-zero columns and leave the
-        // variation RNG untouched (level-0 cells read exactly), so
-        // only the event charge below applies.
-        if (crossbarNnz_[cb] != 0) {
-            const std::vector<std::uint64_t> cols =
-                crossbars_[cb].mvmRaw(raw_in);
-            for (std::uint32_t c = 0; c < crossbarDim_; ++c) {
-                out[cb * crossbarDim_ + c] =
-                    static_cast<double>(cols[c]) / scale;
-            }
-        }
-        // One array read per input slice; one ADC sample per physical
-        // bitline (C values x weight slices) per input slice.
-        reads += params_.inputSlices;
-        samples += static_cast<std::uint64_t>(params_.inputSlices) *
-                   crossbarDim_ * params_.slicesPerValue();
+    out.resize(occupied_.size() * crossbarDim_);
+    double *col = out.data();
+    for (const std::uint32_t cb : occupied_) {
+        crossbars_[cb].mvmRawInto(rawIn_, columnSums_);
+        for (std::uint32_t c = 0; c < crossbarDim_; ++c)
+            *col++ = static_cast<double>(columnSums_[c]) / scale;
     }
 
-    ledger_.events().arrayReads += reads;
+    // The hardware evaluates every crossbar: one array read per input
+    // slice, one ADC sample per physical bitline (C values x weight
+    // slices) per input slice.
+    const std::uint64_t n = crossbars_.size();
+    const std::uint64_t samples = static_cast<std::uint64_t>(
+                                      params_.inputSlices) *
+                                  crossbarDim_ *
+                                  params_.slicesPerValue() * n;
+    ledger_.events().arrayReads +=
+        static_cast<std::uint64_t>(params_.inputSlices) * n;
     ledger_.events().adcSamples += samples;
     ledger_.events().sampleHolds += samples;
     ledger_.events().shiftAdds += tileWidth();
-}
-
-std::vector<double>
-GraphEngineArray::runAddOp(std::uint32_t row, double dist_u,
-                           int weight_frac_bits)
-{
-    std::vector<double> out;
-    runAddOpInto(row, dist_u, weight_frac_bits, out);
-    return out;
 }
 
 void
@@ -176,79 +195,72 @@ GraphEngineArray::runAddOpInto(std::uint32_t row, double dist_u,
                                std::vector<double> &out)
 {
     GRAPHR_ASSERT(row < crossbarDim_, "row ", row, " outside tile");
-
-    out.assign(tileWidth(), kInfDistance);
     const double w_scale = static_cast<double>(1u << weight_frac_bits);
 
-    std::uint64_t reads = 0;
-    std::uint64_t samples = 0;
-    for (std::size_t cb = 0; cb < crossbars_.size(); ++cb) {
-        // Empty crossbars hold no edges in any row: skip the compute,
-        // keep the event charge.
-        if (crossbarNnz_[cb] != 0) {
-            const std::vector<FixedPoint::Raw> row_vals =
-                crossbars_[cb].selectRow(row);
-            for (std::uint32_t c = 0; c < crossbarDim_; ++c) {
-                const std::uint64_t col = cb * crossbarDim_ + c;
-                if (!presentAt(row, col))
-                    continue;
+    out.resize(occupied_.size() * crossbarDim_);
+    double *col = out.data();
+    for (const std::uint32_t cb : occupied_) {
+        const std::uint64_t present = presence(cb, row);
+        std::fill_n(col, crossbarDim_, kInfDistance);
+        // A crossbar without an edge in this row reads nothing: its
+        // wordline is all level-0 cells (no variation RNG draw).
+        if (present != 0) {
+            crossbars_[cb].selectRowInto(row, rowRead_);
+            for (std::uint64_t m = present; m != 0; m &= m - 1) {
+                const int c = std::countr_zero(m);
                 // The fixed "1" row adds dist(u) to each weight in
                 // analog (paper Fig. 16(c)); functionally that is
                 // w + dist_u.
-                out[col] =
-                    static_cast<double>(row_vals[c]) / w_scale + dist_u;
+                col[c] =
+                    static_cast<double>(rowRead_[c]) / w_scale + dist_u;
             }
         }
-        reads += 1;
-        samples += static_cast<std::uint64_t>(crossbarDim_) *
-                   params_.slicesPerValue();
+        col += crossbarDim_;
     }
 
-    ledger_.events().arrayReads += reads;
+    // One array read per crossbar; one ADC sample per bitline.
+    const std::uint64_t n = crossbars_.size();
+    const std::uint64_t samples =
+        static_cast<std::uint64_t>(crossbarDim_) *
+        params_.slicesPerValue() * n;
+    ledger_.events().arrayReads += n;
     ledger_.events().adcSamples += samples;
     ledger_.events().sampleHolds += samples;
     ledger_.events().shiftAdds += tileWidth();
 }
 
-TileSnapshot
-GraphEngineArray::saveTile(int weight_frac_bits) const
+std::vector<double>
+GraphEngineArray::scatter(const std::vector<double> &occupied,
+                          double absent) const
 {
-    TileSnapshot snapshot;
-    snapshot.fracBits = weight_frac_bits;
-    // Scan only occupied crossbars: O(used crossbars * C^2), not the
-    // dense C x tileWidth presence grid.
-    for (std::size_t cb = 0; cb < crossbars_.size(); ++cb) {
-        if (crossbarNnz_[cb] == 0)
-            continue;
-        const std::uint64_t col0 = cb * crossbarDim_;
-        for (std::uint32_t row = 0; row < crossbarDim_; ++row) {
-            for (std::uint32_t c = 0; c < crossbarDim_; ++c) {
-                const std::uint64_t col = col0 + c;
-                if (!presentAt(row, col))
-                    continue;
-                snapshot.cells.push_back(TileSnapshot::CellValue{
-                    row, col, crossbars_[cb].storedRaw(row, c)});
-            }
-        }
+    std::vector<double> dense(tileWidth(), absent);
+    for (std::size_t i = 0; i < occupied_.size(); ++i) {
+        std::copy_n(occupied.begin() +
+                        static_cast<std::ptrdiff_t>(i * crossbarDim_),
+                    crossbarDim_,
+                    dense.begin() + static_cast<std::ptrdiff_t>(
+                                        std::uint64_t{occupied_[i]} *
+                                        crossbarDim_));
     }
-    return snapshot;
+    return dense;
 }
 
-void
-GraphEngineArray::loadTile(const TileSnapshot &snapshot)
+std::vector<double>
+GraphEngineArray::runMac(const std::vector<double> &input,
+                         int input_frac_bits, int weight_frac_bits)
 {
-    clearProgrammedState();
-    for (const TileSnapshot::CellValue &cell : snapshot.cells) {
-        const auto cb = static_cast<std::size_t>(cell.col / crossbarDim_);
-        const auto cb_col =
-            static_cast<std::uint32_t>(cell.col % crossbarDim_);
-        crossbars_[cb].programValue(
-            cell.row, cb_col,
-            FixedPoint::fromRaw(cell.raw, snapshot.fracBits));
-        present_[static_cast<std::size_t>(cell.row) * tileWidth() +
-                 cell.col] = true;
-        ++crossbarNnz_[cb];
-    }
+    std::vector<double> out;
+    runMacInto(input, input_frac_bits, weight_frac_bits, out);
+    return scatter(out, 0.0);
+}
+
+std::vector<double>
+GraphEngineArray::runAddOp(std::uint32_t row, double dist_u,
+                           int weight_frac_bits)
+{
+    std::vector<double> out;
+    runAddOpInto(row, dist_u, weight_frac_bits, out);
+    return scatter(out, kInfDistance);
 }
 
 std::vector<bool>
@@ -256,8 +268,14 @@ GraphEngineArray::rowMask(std::uint32_t row) const
 {
     GRAPHR_ASSERT(row < crossbarDim_, "row outside tile");
     std::vector<bool> mask(tileWidth(), false);
-    for (std::uint64_t col = 0; col < tileWidth(); ++col)
-        mask[col] = presentAt(row, col);
+    for (const std::uint32_t cb : occupied_) {
+        const std::uint64_t present =
+            presence_[static_cast<std::size_t>(cb) * crossbarDim_ + row];
+        for (std::uint64_t m = present; m != 0; m &= m - 1) {
+            mask[std::uint64_t{cb} * crossbarDim_ +
+                 static_cast<unsigned>(std::countr_zero(m))] = true;
+        }
+    }
     return mask;
 }
 

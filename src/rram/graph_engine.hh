@@ -9,6 +9,11 @@
  * device events (writes, reads, ADC samples, S/A, sALU, register
  * accesses) into an EnergyLedger. Timing is derived by the node-level
  * cost model from the same counts.
+ *
+ * A tile holds a few dozen edges spread over thousands of columns, so
+ * every operation's cost follows the occupied cells: a tile is held as
+ * a compact TileImage, and loads, clears, MVMs and reduces walk only
+ * the crossbars that image occupies.
  */
 
 #ifndef GRAPHR_RRAM_GRAPH_ENGINE_HH
@@ -53,32 +58,27 @@ struct TileActivity
 };
 
 /**
- * Saved programmed state of one tile: the quantised nonzero cells.
- * Under ProgramCharging::kOnce every tile's weights stay resident in
- * its own crossbar bank after the initial programming; the functional
- * model serialises tiles through one GraphEngineArray, so "resident"
- * is modelled by snapshotting a tile after its first (and only)
- * programTile() and replaying the snapshot on later visits.
- * loadTile() charges no write events — switching the evaluation
- * target between already-programmed banks is not a reprogram.
- *
- * The snapshot stores logical (row, col, raw) triples, independent of
- * the crossbar's internal layout: loadTile() re-packs them through
- * programValue(), which rebuilds the SoA slice planes, the packed raw
- * plane and the row-occupancy mask consistently. Snapshots taken
- * before the SoA refactor therefore replay identically.
+ * One programmed cell of a tile image (8 bytes): the merged,
+ * quantised weight of every edge that maps to (row, col).
  */
-struct TileSnapshot
+struct ImageCell
 {
-    struct CellValue
-    {
-        std::uint32_t row = 0;
-        std::uint64_t col = 0; ///< tile-relative column
-        FixedPoint::Raw raw = 0;
-    };
-    std::vector<CellValue> cells;
-    int fracBits = 0;
+    std::uint32_t col = 0;   ///< tile-relative column
+    FixedPoint::Raw raw = 0; ///< quantised weight
+    std::uint8_t row = 0;    ///< tile-relative row (< C <= 64)
 };
+static_assert(sizeof(ImageCell) == 8, "tile images stay compact");
+
+/**
+ * The programmed state of one tile: its cells in tile order
+ * (ascending column, then row), one per occupied (row, col). Cells
+ * whose weight quantises to zero are kept — they are present edges
+ * for the add-op datapath. Programming draws no randomness
+ * (variation is drawn when a cell is read), so an image depends only
+ * on the tile's edges, their weights and the weight quantisation: a
+ * run builds each tile's image once and loads it on every visit.
+ */
+using TileImage = std::vector<ImageCell>;
 
 /**
  * Functional model of the full GE array of a GraphR node operating on
@@ -109,71 +109,90 @@ class GraphEngineArray
     }
 
     /**
-     * Program a tile's edges. Edge coordinates are absolute; the
-     * tile origin (row0, col0) maps them into [0, C) x [0,
-     * tileWidth). Weights are quantised with weight_frac_bits
-     * fractional bits; parallel edges are merged per @p combine.
-     * Returns the activity (also accumulated into the ledger).
+     * Merge and quantise a tile's edges into its image. Edge
+     * coordinates are absolute; the tile origin (row0, col0) maps
+     * them into [0, C) x [0, tileWidth). Parallel edges are combined
+     * per @p combine in input order (sum for additive reduces, min
+     * for relaxation) before quantisation with weight_frac_bits
+     * fractional bits. In tile order — what the preprocessing sort
+     * emits — parallel edges are neighbours and the merge is one
+     * linear pass; other orders are first stably sorted into it.
+     * Touches no device state.
+     *
+     * @param weights per-edge weights replacing Edge::weight (same
+     *        length as @p edges), or empty to use the edge weights
+     */
+    TileImage makeImage(std::span<const Edge> edges,
+                        std::span<const double> weights,
+                        std::uint64_t row0, std::uint64_t col0,
+                        int weight_frac_bits,
+                        CombineMode combine) const;
+
+    /**
+     * Make @p image the evaluation target: clear the crossbars (and
+     * their presence rows) the previous image occupied and write this
+     * image's cells. Charges no device events — a run's images stay
+     * resident, so a visit switches banks rather than reprogramming.
+     * Cost follows the two images' cells, not the tile width.
+     */
+    void loadImage(const TileImage &image);
+
+    /**
+     * Program a tile's edges: makeImage() + loadImage(), charging the
+     * row writes to the ledger. Returns the programming activity.
      */
     TileActivity programTile(std::span<const Edge> edges,
                              std::uint64_t row0, std::uint64_t col0,
                              int weight_frac_bits,
                              CombineMode combine = CombineMode::kSum);
 
+    /** Crossbars the loaded image occupies, ascending. */
+    std::span<const std::uint32_t>
+    occupiedCrossbars() const
+    {
+        return occupied_;
+    }
+
     /**
-     * Parallel MAC over the programmed tile: y[col] += x[row] *
+     * Parallel MAC over the loaded tile: y[col] += x[row] *
      * W[row][col] for all columns at once (paper section 4.1).
+     * Only occupied crossbars are evaluated: @p out receives C column
+     * sums per occupiedCrossbars() entry, in that order (crossbar
+     * occupiedCrossbars()[i] fills out[i*C, (i+1)*C)); every other
+     * column of the tile is zero. Device events are charged for the
+     * whole array, as the hardware evaluates every crossbar.
      *
      * @param input per-row real inputs (length C), quantised with
      *        input_frac_bits
-     * @param input_frac_bits input quantisation
-     * @param weight_frac_bits must match programTile's
-     * @return tileWidth() real-valued column sums
-     */
-    std::vector<double> runMac(const std::vector<double> &input,
-                               int input_frac_bits, int weight_frac_bits);
-
-    /**
-     * runMac() into a caller-owned buffer (resized to tileWidth()):
-     * the tile walks call this once per tile, so reusing one buffer
-     * avoids a tileWidth-sized allocation per tile. Identical
-     * results and event accounting to runMac().
+     * @param weight_frac_bits must match the image's quantisation
      */
     void runMacInto(const std::vector<double> &input,
                     int input_frac_bits, int weight_frac_bits,
                     std::vector<double> &out);
 
+    /** runMacInto() scattered into all tileWidth() columns (tests). */
+    std::vector<double> runMac(const std::vector<double> &input,
+                               int input_frac_bits, int weight_frac_bits);
+
     /**
      * Parallel add-op for one active source row (paper section 4.2,
-     * Fig. 16(c)): returns dist_u + W[row][col] for every column that
-     * holds an edge, and +infinity for absent columns.
+     * Fig. 16(c)): dist_u + W[row][col] for every column that holds
+     * an edge, +infinity for the others. Same occupied-crossbar
+     * layout of @p out as runMacInto().
      *
      * @param row tile-relative source row
      * @param dist_u current distance label of the source
-     * @param weight_frac_bits quantisation used when programming
+     * @param weight_frac_bits the image's quantisation
      */
-    std::vector<double> runAddOp(std::uint32_t row, double dist_u,
-                                 int weight_frac_bits);
-
-    /** runAddOp() into a caller-owned buffer; see runMacInto(). */
     void runAddOpInto(std::uint32_t row, double dist_u,
                       int weight_frac_bits, std::vector<double> &out);
 
-    /** Mask of columns holding a nonzero in the given row. */
+    /** runAddOpInto() scattered into all tileWidth() columns. */
+    std::vector<double> runAddOp(std::uint32_t row, double dist_u,
+                                 int weight_frac_bits);
+
+    /** Mask of columns holding an edge in the given row. */
     std::vector<bool> rowMask(std::uint32_t row) const;
-
-    /**
-     * Capture the currently programmed tile (exact stored raw values;
-     * @p weight_frac_bits must match the programTile() call).
-     */
-    TileSnapshot saveTile(int weight_frac_bits) const;
-
-    /**
-     * Make a previously saved tile the evaluation target again.
-     * Restores cells and presence exactly; charges no write events
-     * (see TileSnapshot).
-     */
-    void loadTile(const TileSnapshot &snapshot);
 
     /** sALU shared by the node (configured per algorithm). */
     Salu &salu() { return salu_; }
@@ -182,27 +201,41 @@ class GraphEngineArray
     void setVariation(double sigma_levels, std::uint64_t seed);
 
   private:
+    /** Presence word of (crossbar, row): bit c = column c holds an
+     *  edge. */
+    std::uint64_t &
+    presence(std::uint32_t cb, std::uint32_t row)
+    {
+        return presence_[static_cast<std::size_t>(cb) * crossbarDim_ +
+                         row];
+    }
+
+    /** Dense tileWidth() copy of an occupied-crossbar output. */
+    std::vector<double> scatter(const std::vector<double> &occupied,
+                                double absent) const;
+
     std::uint32_t crossbarDim_;
     DeviceParams params_;
     EnergyLedger &ledger_;
     std::vector<Crossbar> crossbars_;
-    /** Presence mask: does (row, col) hold an edge? Tile-relative. */
-    std::vector<bool> present_;
     /**
-     * Nonzero cells per crossbar. Empty crossbars produce all-zero
-     * MVM columns and never touch the variation RNG (level-0 cells
-     * read exactly), so compute skips them — a large win on sparse
-     * tiles — while event accounting still covers the full array.
+     * One presence word per (crossbar, row), crossbar-major. Only the
+     * occupied crossbars' words can be nonzero.
      */
-    std::vector<std::uint32_t> crossbarNnz_;
-    /** Scratch input-quantisation buffer reused by runMacInto(). */
-    std::vector<FixedPoint::Raw> rawInScratch_;
+    std::vector<std::uint64_t> presence_;
+    /**
+     * Crossbars holding >= 1 cell of the loaded image, ascending.
+     * Empty crossbars produce all-zero MVM columns and never touch
+     * the variation RNG (level-0 cells read exactly), so compute,
+     * clears and reduces touch only these.
+     */
+    std::vector<std::uint32_t> occupied_;
+    /** Scratch sized once at construction (no per-call allocation):
+     *  quantised inputs, one crossbar's column sums, one row read. */
+    std::vector<FixedPoint::Raw> rawIn_;
+    std::vector<std::uint64_t> columnSums_;
+    std::vector<FixedPoint::Raw> rowRead_;
     Salu salu_{SaluOp::kAdd};
-
-    bool presentAt(std::uint32_t row, std::uint64_t col) const;
-
-    /** Zero every occupied crossbar and the presence state. */
-    void clearProgrammedState();
 };
 
 } // namespace graphr

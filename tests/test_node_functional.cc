@@ -10,11 +10,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "algorithms/pagerank.hh"
 #include "common/random.hh"
 #include "algorithms/spmv.hh"
 #include "algorithms/traversal.hh"
+#include "algorithms/wcc.hh"
 #include "graph/generator.hh"
 #include "graphr/node.hh"
 
@@ -335,6 +338,129 @@ TEST(NodeFunctionalTest, OutputDigestsArePinned)
         EXPECT_EQ(got.bfs, c.expect.bfs) << label;
         EXPECT_EQ(got.sssp, c.expect.sssp) << label;
         EXPECT_EQ(got.wcc, c.expect.wcc) << label;
+    }
+}
+
+// ------------------------------------- differential oracle, generated
+
+/** A named generated graph for the differential oracle. */
+struct GeneratedGraph
+{
+    std::string name;
+    CooGraph graph;
+};
+
+/**
+ * Seeded R-MAT multigraphs (self-loops and duplicates kept, integer
+ * weights) and degenerate shapes: one vertex, isolated vertices,
+ * self-loops only, heavy duplicates.
+ */
+std::vector<GeneratedGraph>
+generatedGraphs()
+{
+    std::vector<GeneratedGraph> graphs;
+    for (const std::uint64_t seed : {101u, 102u, 103u}) {
+        graphs.push_back(
+            {"rmat" + std::to_string(seed),
+             makeRmat({.numVertices = 70 + 13 * (seed % 3),
+                       .numEdges = 600,
+                       .maxWeight = 9.0,
+                       .seed = seed,
+                       .removeSelfLoops = false})});
+    }
+    graphs.push_back({"single_vertex", CooGraph(1, {})});
+    graphs.push_back(
+        {"single_self_loop", CooGraph(1, {{0, 0, 4.0}})});
+
+    CooGraph isolated(50, {});
+    for (VertexId v = 0; v + 1 < 10; ++v)
+        isolated.addEdge(v, v + 1, static_cast<Value>(1 + v % 3));
+    isolated.addEdge(3, 0, 2.0);
+    graphs.push_back({"isolated_vertices", std::move(isolated)});
+
+    CooGraph loops(33, {});
+    for (VertexId v = 0; v < 33; ++v)
+        loops.addEdge(v, v, static_cast<Value>(1 + v % 5));
+    graphs.push_back({"self_loops_only", std::move(loops)});
+
+    CooGraph dups(24, {});
+    Rng rng(77);
+    for (int rep = 0; rep < 25; ++rep) {
+        dups.addEdge(0, 5, static_cast<Value>(1 + rng.below(9)));
+        dups.addEdge(5, 17, static_cast<Value>(1 + rng.below(9)));
+        dups.addEdge(17, 0, static_cast<Value>(1 + rng.below(9)));
+        dups.addEdge(5, 5, static_cast<Value>(1 + rng.below(9)));
+        dups.addEdge(0, 23, static_cast<Value>(1 + rng.below(9)));
+    }
+    graphs.push_back({"heavy_duplicates", std::move(dups)});
+    return graphs;
+}
+
+void
+expectSameDistances(const std::vector<Value> &got,
+                    const std::vector<Value> &want,
+                    const std::string &label)
+{
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (std::size_t v = 0; v < want.size(); ++v) {
+        if (std::isinf(want[v]))
+            EXPECT_TRUE(std::isinf(got[v])) << label << " vertex " << v;
+        else
+            EXPECT_EQ(got[v], want[v]) << label << " vertex " << v;
+    }
+}
+
+TEST(NodeFunctionalTest, AddOpMatchesGoldensOnGeneratedGraphs)
+{
+    for (const GeneratedGraph &gg : generatedGraphs()) {
+        const CooGraph &g = gg.graph;
+        for (const ProgramCharging charging :
+             {ProgramCharging::kPerSweep, ProgramCharging::kOnce}) {
+            GraphRConfig cfg = functionalConfig();
+            cfg.programCharging = charging;
+            GraphRNode node(cfg);
+            std::vector<Value> dist;
+            node.runBfs(g, 0, &dist);
+            expectSameDistances(dist, bfs(g, 0).dist, gg.name + " bfs");
+            node.runSssp(g, 0, &dist);
+            expectSameDistances(dist, sssp(g, 0).dist,
+                                gg.name + " sssp");
+            std::vector<VertexId> labels;
+            node.runWcc(g, &labels);
+            EXPECT_EQ(labels, wcc(g).labels) << gg.name << " wcc";
+        }
+    }
+}
+
+TEST(NodeFunctionalTest, SpmvWithinQuantisationBoundOnGeneratedGraphs)
+{
+    const GraphRConfig cfg = functionalConfig();
+    const double ulp_w = std::ldexp(1.0, -cfg.weightFracBits);
+    const double ulp_x = std::ldexp(1.0, -cfg.inputFracBits);
+    for (const GeneratedGraph &gg : generatedGraphs()) {
+        const CooGraph &g = gg.graph;
+        std::vector<Value> x(g.numVertices());
+        Rng rng(13);
+        for (Value &v : x)
+            v = rng.uniform();
+        std::vector<Value> y;
+        GraphRNode(cfg).runSpmv(g, x, &y);
+        const std::vector<Value> golden = spmv(g, x);
+
+        // Each edge's cell holds its weight and its source input to
+        // within one ulp each (rounding is half an ulp; merged
+        // parallel edges share one cell, so summing per edge is an
+        // over-estimate).
+        const std::vector<EdgeId> &deg = g.outDegrees();
+        std::vector<double> bound(g.numVertices(), 1e-12);
+        for (const Edge &e : g.edges()) {
+            const double w = e.weight / static_cast<double>(deg[e.src]);
+            bound[e.dst] += w * ulp_x + x[e.src] * ulp_w + ulp_w * ulp_x;
+        }
+        ASSERT_EQ(y.size(), golden.size()) << gg.name;
+        for (VertexId v = 0; v < g.numVertices(); ++v)
+            EXPECT_NEAR(y[v], golden[v], bound[v])
+                << gg.name << " vertex " << v;
     }
 }
 
