@@ -37,7 +37,6 @@
 #include "graphr/tile_meta.hh"
 #include "perf/bench.hh"
 #include "rram/crossbar.hh"
-#include "rram/simd/simd.hh"
 #include "service/server.hh"
 #include "store/plan_store.hh"
 
@@ -130,43 +129,6 @@ crossbarMvmSparse(const perf::RepOptions &rep, std::uint32_t dim,
         rep, iters, [&] { perf::doNotOptimize(cb.mvmRaw(x)); });
     result.itersPerRep = iters;
     result.itemsPerIter = static_cast<std::uint64_t>(dim) * dim;
-    result.label = occupied == dim
-                       ? "dense"
-                       : std::to_string(occupied) + "/" +
-                             std::to_string(dim) + " rows";
-    return result;
-}
-
-CaseResult
-crossbarMvmSimd(const perf::RepOptions &rep, simd::Level level,
-                std::uint32_t dim, std::uint32_t occupied)
-{
-    // Same MVM under a pinned kernel tier: the spread between the
-    // scalar row and the dispatched SSE/AVX2 rows is the SIMD win on
-    // this host. Results are byte-identical across tiers (the exact
-    // path is pure mod-2^64 integer arithmetic), so only time moves.
-    DeviceParams params;
-    Crossbar cb(dim, params);
-    cb.setSimdKernels(simd::kernelsFor(level));
-    Rng rng(1);
-    for (std::uint32_t r = 0; r < occupied; ++r) {
-        const std::uint32_t row = r * dim / std::max(occupied, 1u);
-        for (std::uint32_t c = 0; c < dim; ++c)
-            cb.programValue(
-                row, c,
-                FixedPoint::fromRaw(static_cast<FixedPoint::Raw>(
-                                        1 + rng.below(65535)),
-                                    0));
-    }
-    std::vector<FixedPoint::Raw> x(dim);
-    for (auto &v : x)
-        v = static_cast<FixedPoint::Raw>(rng.below(65536));
-    const std::uint64_t iters = 4096;
-    CaseResult result;
-    result.stats = timeLoop(
-        rep, iters, [&] { perf::doNotOptimize(cb.mvmRaw(x)); });
-    result.itersPerRep = iters;
-    result.itemsPerIter = static_cast<std::uint64_t>(occupied) * dim;
     result.label = occupied == dim
                        ? "dense"
                        : std::to_string(occupied) + "/" +
@@ -472,7 +434,7 @@ allCases()
         cases.push_back({std::move(name), std::move(fn)});
     };
 
-    for (const std::uint32_t dim : {4u, 8u, 16u, 32u})
+    for (const std::uint32_t dim : {4u, 8u, 16u, 32u, 64u})
         add("crossbar_mvm/" + std::to_string(dim),
             [dim](const RepOptions &r) { return crossbarMvm(r, dim); });
     for (const std::uint32_t occ : {32u, 8u, 2u, 0u})
@@ -480,21 +442,10 @@ allCases()
             [occ](const RepOptions &r) {
                 return crossbarMvmSparse(r, 32, occ);
             });
-    // One row per supported kernel tier; hosts without SSE4.1/AVX2
-    // simply register fewer rows.
-    for (const simd::Level level :
-         {simd::Level::kScalar, simd::Level::kSse,
-          simd::Level::kAvx2}) {
-        if (!simd::levelSupported(level))
-            continue;
-        for (const std::uint32_t occ : {64u, 8u})
-            add(std::string("crossbar_mvm_simd/") +
-                    simd::levelName(level) + "/" +
-                    (occ == 64u ? "dense" : "sparse"),
-                [level, occ](const RepOptions &r) {
-                    return crossbarMvmSimd(r, level, 64, occ);
-                });
-    }
+    // The paper-scale 64-wide crossbar with 8 of 64 wordlines occupied.
+    add("crossbar_mvm_sparse/64x8", [](const RepOptions &r) {
+        return crossbarMvmSparse(r, 64, 8);
+    });
     for (const EdgeId e : {EdgeId(10000), EdgeId(100000),
                            EdgeId(1000000)})
         add("preprocess_sort/" + std::to_string(e),

@@ -21,7 +21,6 @@
 #include "net/listener.hh"
 #include "perf/bench.hh"
 #include "rram/crossbar.hh"
-#include "rram/simd/simd.hh"
 #include "service/server.hh"
 #include "store/plan_store.hh"
 
@@ -469,13 +468,10 @@ concurrentServeScenario(SuiteBuilder &b, const std::string &prefix,
 }
 
 /**
- * The crossbar MVM scenario: the SIMD-dispatched exact datapath on a
- * half-occupied crossbar. Wall-clock is the ungated trajectory (it
- * moves with the host's best kernel tier); the gate keys on the
- * machine-independent work metric — occupied wordlines processed per
- * repetition, identical across scalar/SSE/AVX2 because the occupancy
- * mask alone decides it. The active tier is recorded ungated so a
- * trajectory reader can attribute wall-clock moves.
+ * The crossbar MVM scenario: the exact datapath on a half-occupied
+ * 64-wide crossbar. Wall-clock is the ungated trajectory; the gate
+ * keys on the machine-independent work metric — occupied wordlines
+ * processed per repetition, which the occupancy mask alone decides.
  */
 void
 crossbarScenario(SuiteBuilder &b, const std::string &prefix)
@@ -507,9 +503,6 @@ crossbarScenario(SuiteBuilder &b, const std::string &prefix)
     b.scalar(prefix + ".mvm_rows_per_rep",
              stats.perRep("crossbar.mvm_rows_processed"), "count",
              true);
-    b.scalar(prefix + ".simd_level",
-             static_cast<double>(cb.simdKernels().level), "enum",
-             false, "higher");
 }
 
 /**

@@ -14,7 +14,7 @@ namespace
 {
 
 /** Work metric for the bench gate: occupied wordlines an MVM reads.
- *  Machine- and SIMD-tier-independent (the occupancy mask decides). */
+ *  Machine-independent (the occupancy mask decides). */
 perf::Counter &
 mvmRowsCounter()
 {
@@ -27,8 +27,7 @@ mvmRowsCounter()
 
 Crossbar::Crossbar(std::uint32_t dim, const DeviceParams &params)
     : dim_(dim), slices_(params.slicesPerValue()),
-      cellLevels_(params.cellLevels()),
-      kernels_(&simd::activeKernels())
+      cellLevels_(params.cellLevels())
 {
     GRAPHR_ASSERT(dim_ > 0, "crossbar dimension must be > 0");
     levelPlanes_.resize(static_cast<std::size_t>(dim_) * dim_ *
@@ -102,27 +101,27 @@ Crossbar::mvmRawInto(std::span<const FixedPoint::Raw> input_raw,
         // Exact fast path: slice recombination distributes over the
         // row sum, so the full slice-serial walk collapses to
         // columns[c] += input[row] * raw[row][c] per occupied row —
-        // a unit-stride AXPY over the packed plane, dispatched to
-        // the active SIMD tier. Pure mod-2^64 integer arithmetic in
-        // every tier and in the slice-serial walk, hence
-        // byte-identical results; zero inputs contribute nothing and
-        // may be skipped outright.
-        const simd::Kernels &kernels = *kernels_;
+        // a unit-stride AXPY over the packed plane. Pure mod-2^64
+        // integer arithmetic, hence byte-identical to the
+        // slice-serial walk; zero inputs contribute nothing and may
+        // be skipped outright.
+        const std::uint32_t dim = dim_;
+        std::uint64_t *acc = columns.data();
         forEachOccupiedRow([&](std::uint32_t row) {
             const std::uint64_t in = input_raw[row];
             if (in == 0)
                 return;
-            kernels.mvmRowAxpy(
-                rawPlane_.data() +
-                    static_cast<std::size_t>(row) * dim_,
-                dim_, in, columns.data());
+            const FixedPoint::Raw *weights =
+                rawPlane_.data() + static_cast<std::size_t>(row) * dim;
+            for (std::uint32_t c = 0; c < dim; ++c)
+                acc[c] += in * weights[c];
         });
         return;
     }
 
-    // Variation path: the hardware-shaped slice-serial walk, kept
-    // scalar so every cell read draws noise in the documented order
-    // (input slice, column, weight slice, ascending occupied row).
+    // Variation path: the hardware-shaped slice-serial walk, so
+    // every cell read draws noise in the documented order (input
+    // slice, column, weight slice, ascending occupied row).
     // Outer loop: input slices applied by the driver, LSB first.
     // Inner: weight slices summed on bitlines, recombined by S/A.
     for (int in_s = 0; in_s < slices_; ++in_s) {

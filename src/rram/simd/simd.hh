@@ -1,133 +1,35 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernels for the crossbar MVM datapath.
+ * Label stub. The crossbar MVM has one portable kernel, a plain loop
+ * in Crossbar::mvmRawInto, so there is no kernel tier to pick.
  *
- * The functional crossbar stores cell state as structure-of-arrays
- * planes (see rram/crossbar.hh), so the exact (variation-off) MVM
- * reduces to a row-major AXPY over unit-stride uint16 spans:
- *
- *     acc[col] += input * row[col]        (64-bit accumulation)
- *
- * This header exposes that kernel behind a small dispatch table with
- * three implementations — AVX2, SSE2/SSE4.1 and a portable scalar
- * loop — selected once per process by cpuid-style feature detection
- * and overridable with the GRAPHR_SIMD environment variable
- * (scalar|sse|avx2|auto) for tests and CI.
- *
- * Bit-exactness contract: every kernel computes the identical
- * mod-2^64 sums in a different order; since the accumulation is pure
- * integer arithmetic, all levels produce byte-identical results for
- * any input. The per-ISA translation units are compiled with the
- * matching -m flags; nothing in this header requires them, so the
- * rest of the build stays at the baseline ISA.
+ * This header exists only because perfbench/trace.cc includes it to
+ * label its `env` record; nothing under src/ includes it. The next
+ * change to the benchmark drops that include and deletes this file.
  */
 
 #ifndef GRAPHR_RRAM_SIMD_SIMD_HH
 #define GRAPHR_RRAM_SIMD_SIMD_HH
 
-#include <cstddef>
-#include <cstdint>
-#include <optional>
-#include <string_view>
-
-#if (defined(__x86_64__) || defined(__i386__)) &&                      \
-    (defined(__GNUC__) || defined(__clang__))
-#define GRAPHR_SIMD_X86 1
-#else
-#define GRAPHR_SIMD_X86 0
-#endif
-
 namespace graphr::simd
 {
 
-/** Instruction-set tiers, ordered weakest to strongest. */
 enum class Level
 {
     kScalar = 0,
-    kSse = 1,
-    kAvx2 = 2,
 };
 
-/**
- * One kernel set. All function pointers are non-null and ISA-safe to
- * call only when levelSupported(level) is true (the scalar table is
- * always safe).
- */
-struct Kernels
+inline Level
+activeLevel()
 {
-    /**
-     * acc[c] += in * row[c] for c in [0, n). @p in must fit in 16
-     * bits (a raw fixed-point input); products and sums are exact in
-     * 64-bit. Unaligned @p row / @p acc are fine (unaligned loads
-     * only — no UB on any alignment).
-     */
-    void (*mvmRowAxpy)(const std::uint16_t *row, std::size_t n,
-                       std::uint64_t in, std::uint64_t *acc);
-    Level level;
-    const char *name;
-};
+    return Level::kScalar;
+}
 
-/** Lower-case display name ("scalar", "sse", "avx2"). */
-const char *levelName(Level level);
-
-/** Parse a GRAPHR_SIMD value; "auto"/"" and unknown map to nullopt. */
-std::optional<Level> parseLevelName(std::string_view name);
-
-/** Can the running CPU execute this tier? (kScalar: always.) */
-bool levelSupported(Level level);
-
-/** Strongest tier the running CPU supports. */
-Level bestSupportedLevel();
-
-/**
- * The kernel table for one tier. For a tier this build has no
- * implementation of (non-x86 builds), returns the scalar table.
- * Calling an unsupported tier's kernels on the wrong CPU is illegal;
- * guard with levelSupported().
- */
-const Kernels &kernelsFor(Level level);
-
-/**
- * The process-wide active kernel set: bestSupportedLevel() clamped by
- * the GRAPHR_SIMD override, resolved once on first use (thread-safe;
- * the resolved pointer is published through an atomic, so concurrent
- * first calls race benignly to the same value). An override naming an
- * unsupported or unknown tier warns once and falls back.
- */
-const Kernels &activeKernels();
-
-/** Tier of activeKernels() (resolves the dispatch if needed). */
-Level activeLevel();
-
-/**
- * Force the active kernel set (tests only — e.g. asserting that a
- * full functional run is byte-identical across tiers within one
- * process). Not safe concurrently with in-flight MVMs; the level must
- * satisfy levelSupported().
- */
-void setActiveLevelForTest(Level level);
-
-namespace detail
+inline const char *
+levelName(Level)
 {
-
-/**
- * Pure resolution policy, separated for unit testing: the tier a
- * GRAPHR_SIMD value (possibly absent) selects on a CPU whose best
- * tier is @p best. Unknown names and tiers above @p best fall back
- * (to @p best); explicit lower tiers are honoured.
- */
-Level resolveLevel(const char *env_value, Level best);
-
-void scalarMvmRowAxpy(const std::uint16_t *row, std::size_t n,
-                      std::uint64_t in, std::uint64_t *acc);
-#if GRAPHR_SIMD_X86
-void sseMvmRowAxpy(const std::uint16_t *row, std::size_t n,
-                   std::uint64_t in, std::uint64_t *acc);
-void avx2MvmRowAxpy(const std::uint16_t *row, std::size_t n,
-                    std::uint64_t in, std::uint64_t *acc);
-#endif
-
-} // namespace detail
+    return "scalar";
+}
 
 } // namespace graphr::simd
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/random.hh"
 #include "rram/cell.hh"
@@ -76,33 +78,54 @@ TEST(CrossbarTest, ClearZeroesEverything)
 
 TEST(CrossbarTest, MvmMatchesDigitalDotProduct)
 {
+    // Widths below, across and at the paper-scale 64, each dense and
+    // with a quarter of the wordlines occupied; zeros sprinkled inside
+    // occupied rows leave sparse columns too.
     DeviceParams params;
-    const std::uint32_t dim = 8;
-    Crossbar cb(dim, params);
-    Rng rng(42);
+    for (const std::uint32_t dim : {1u, 3u, 8u, 13u, 33u, 63u, 64u}) {
+        for (const bool sparse : {false, true}) {
+            const std::uint32_t occupied =
+                sparse ? std::max(1u, dim / 4) : dim;
+            Crossbar cb(dim, params);
+            Rng rng(dim * 2 + sparse);
 
-    std::vector<std::vector<std::uint64_t>> w(
-        dim, std::vector<std::uint64_t>(dim, 0));
-    for (std::uint32_t r = 0; r < dim; ++r) {
-        for (std::uint32_t c = 0; c < dim; ++c) {
-            w[r][c] = rng.below(65536);
-            cb.programValue(r, c,
-                            FixedPoint::fromRaw(
-                                static_cast<FixedPoint::Raw>(w[r][c]),
-                                0));
+            std::vector<std::vector<std::uint64_t>> w(
+                dim, std::vector<std::uint64_t>(dim, 0));
+            for (std::uint32_t i = 0; i < occupied; ++i) {
+                const std::uint32_t r = i * dim / occupied;
+                for (std::uint32_t c = 0; c < dim; ++c) {
+                    w[r][c] = rng.below(4) == 0 ? 0 : rng.below(65536);
+                    cb.programValue(
+                        r, c,
+                        FixedPoint::fromRaw(
+                            static_cast<FixedPoint::Raw>(w[r][c]), 0));
+                }
+            }
+            std::vector<FixedPoint::Raw> x(dim);
+            for (auto &v : x)
+                v = static_cast<FixedPoint::Raw>(rng.below(65536));
+
+            const std::vector<std::uint64_t> y = cb.mvmRaw(x);
+            for (std::uint32_t c = 0; c < dim; ++c) {
+                std::uint64_t expect = 0;
+                for (std::uint32_t r = 0; r < dim; ++r)
+                    expect += static_cast<std::uint64_t>(x[r]) * w[r][c];
+                EXPECT_EQ(y[c], expect)
+                    << "dim " << dim << (sparse ? " sparse" : " dense")
+                    << " column " << c;
+            }
         }
     }
-    std::vector<FixedPoint::Raw> x(dim);
-    for (auto &v : x)
-        v = static_cast<FixedPoint::Raw>(rng.below(65536));
 
-    const std::vector<std::uint64_t> y = cb.mvmRaw(x);
-    for (std::uint32_t c = 0; c < dim; ++c) {
-        std::uint64_t expect = 0;
-        for (std::uint32_t r = 0; r < dim; ++r)
-            expect += static_cast<std::uint64_t>(x[r]) * w[r][c];
-        EXPECT_EQ(y[c], expect) << "column " << c;
-    }
+    // Full scale: 0xFFFF weights times 0xFFFF inputs on all 64
+    // wordlines sum past 32 bits, so each column must hold the exact
+    // 64-bit total.
+    Crossbar full(64, params);
+    for (std::uint32_t r = 0; r < 64; ++r)
+        for (std::uint32_t c = 0; c < 64; ++c)
+            full.programValue(r, c, FixedPoint::fromRaw(0xFFFF, 0));
+    EXPECT_EQ(full.mvmRaw(std::vector<FixedPoint::Raw>(64, 0xFFFF)),
+              std::vector<std::uint64_t>(64, 64ull * 0xFFFF * 0xFFFF));
 }
 
 TEST(CrossbarTest, MvmZeroInputGivesZero)
@@ -150,6 +173,12 @@ TEST(CrossbarTest, VariationPerturbsButBounded)
 
     std::vector<FixedPoint::Raw> x(4, FixedPoint::quantize(1.0, 12).raw());
     const auto noisy = cb.mvmRaw(x);
+    const auto noisy2 = cb.mvmRaw(x);
+    // Back-to-back MVMs draw from the crossbar's own RNG in a fixed
+    // order, so reseeding replays both exactly.
+    cb.setVariation(0.5, 7);
+    EXPECT_EQ(cb.mvmRaw(x), noisy);
+    EXPECT_EQ(cb.mvmRaw(x), noisy2);
     cb.setVariation(0.0, 7);
     const auto exact = cb.mvmRaw(x);
     double max_rel = 0.0;

@@ -5,14 +5,12 @@
  * validation (the crossbarDim <= 64 row-mask invariant), functional
  * vs reference equivalence for all six algorithms through the shared
  * TileExecutor, resident-weight (ProgramCharging::kOnce) program
- * counting, the driver's golden-PageRank cache, and SIMD-tier
- * independence of whole-sweep JSON reports.
+ * counting and the driver's golden-PageRank cache.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "algorithms/pagerank.hh"
 #include "algorithms/spmv.hh"
@@ -27,7 +25,6 @@
 #include "graphr/node.hh"
 #include "graphr/out_of_core.hh"
 #include "perf/counters.hh"
-#include "rram/simd/simd.hh"
 
 namespace graphr
 {
@@ -540,49 +537,6 @@ TEST(EngineReportTest, CacheHitReportIdenticalToCacheMiss)
     EXPECT_EQ(warm.tilesSkipped, cold.tilesSkipped);
     EXPECT_EQ(warm.edgesProcessed, cold.edgesProcessed);
     EXPECT_TRUE(node.lastEngineStats().planCacheHit);
-}
-
-// ------------------------------------------------ SIMD tier parity
-
-TEST(SimdSweepParityTest, FunctionalSweepJsonIdenticalAcrossTiers)
-{
-    // The whole-system bit-exactness contract: a functional sweep of
-    // all six algorithms must serialise to byte-identical JSON no
-    // matter which kernel tier accumulates the crossbar MVMs. This is
-    // what lets CI run GRAPHR_SIMD=scalar and GRAPHR_SIMD=avx2 jobs
-    // against the same goldens.
-    const simd::Level original = simd::activeLevel();
-
-    driver::SweepSpec spec;
-    spec.workloads = {"all"};
-    spec.backends = {"graphr"};
-    spec.datasets = {"rmat:vertices=64,edges=256,seed=3"};
-    spec.params =
-        driver::ParamMap::parse("epochs=1,features=4,iterations=3");
-    spec.backendOptions.config.functional = true;
-    spec.backendOptions.config.tiling.crossbarDim = 8;
-    spec.backendOptions.config.tiling.crossbarsPerGe = 2;
-    spec.backendOptions.config.tiling.numGe = 2;
-
-    const auto sweep_json = [&spec] {
-        PlanCache::instance().clear();
-        clearGoldenCache();
-        std::ostringstream os;
-        driver::writeResultsJson(os, driver::runSweep(spec));
-        return os.str();
-    };
-
-    simd::setActiveLevelForTest(simd::Level::kScalar);
-    const std::string scalar_json = sweep_json();
-
-    simd::setActiveLevelForTest(simd::bestSupportedLevel());
-    const std::string best_json = sweep_json();
-
-    simd::setActiveLevelForTest(original);
-
-    ASSERT_FALSE(scalar_json.empty());
-    EXPECT_EQ(scalar_json, best_json)
-        << "functional sweep output depends on the SIMD tier";
 }
 
 } // namespace
